@@ -30,7 +30,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..ccm import (allocate_function_integrated, compact_spill_memory,
+from ..ccm import (CcmPlacementProvider, SpillPlacement,
+                   allocate_function_integrated, compact_spill_memory,
                    promote_spills_postpass)
 from ..exec import ArtifactCache, StageClock, SweepStats, run_jobs
 from ..exec.batching import group_batches
@@ -41,7 +42,8 @@ from ..machine import (BatchMember, BatchSimulation, BatchSplit,
                        MachineConfig, RunStats, SimulationError, Simulator,
                        batch_key, sim_engine)
 from ..opt import optimize_program
-from ..regalloc import allocate_function, lower_calling_convention
+from ..regalloc import (allocate_function, lower_calling_convention,
+                        regalloc_engine)
 from ..trace import TraceRecorder, recording
 from .gen import generate_source
 
@@ -212,20 +214,32 @@ class _StageCache:
     """Shares compilation work across lattice points.
 
     The pipeline up to register allocation is identical for every config
-    with the same (optimize, geometry) pair, and the baseline allocation
-    is further shared by the baseline and both post-pass variants — the
-    post-pass only retargets spill instructions after allocation.  Each
-    level caches a compiled snapshot; config-specific passes run on a
-    :meth:`Program.clone` so the snapshot stays pristine.  This turns
-    ~50 full compiles per seed into 2 optimize+lower runs, ~10 register
-    allocations, and cheap per-config promotion/compaction passes.
+    with the same (optimize, geometry) pair, and one baseline allocation
+    per (optimize, geometry, allocator, remat) setting serves every
+    variant: the post-pass only retargets spill instructions after
+    allocation, and under Chaitin-Briggs the integrated scheme makes the
+    baseline's register decisions at every CCM size, so each integrated
+    config is that allocation placed for its size
+    (:class:`~repro.ccm.CcmPlacementProvider`).  Each level caches a
+    compiled snapshot; config-specific passes run on a
+    :meth:`Program.clone` so the snapshot stays pristine.  On the
+    default lattice this turns 52 full compiles per seed into 2
+    optimize+lower runs, 2 register allocations, and cheap per-config
+    placement/promotion/compaction passes.  The SSA backends' register
+    decisions react to placement, so they still allocate once per
+    integrated CCM size.
     """
 
-    def __init__(self, program: Program):
+    def __init__(self, program: Program, configs: Sequence[DiffConfig]):
         self.program = program
+        #: the CCM sizes every Chaitin-Briggs allocation is placed for
+        self.ccm_sizes = tuple(sorted({c.ccm_bytes for c in configs
+                                       if c.variant == "integrated"}))
         self._lowered: Dict[tuple, Program] = {}
         self._allocated: Dict[tuple, Program] = {}
-        self._integrated: Dict[tuple, Program] = {}
+        #: per allocated snapshot: function name -> its CCM placement
+        self._placements: Dict[tuple, Dict[str, SpillPlacement]] = {}
+        self._ssa_integrated: Dict[tuple, Program] = {}
 
     def lowered(self, optimize: bool, geometry: str) -> Program:
         key = (optimize, geometry)
@@ -247,27 +261,47 @@ class _StageCache:
         if key not in self._allocated:
             prog = self.lowered(optimize, geometry).clone()
             machine = MachineConfig(**GEOMETRIES[geometry])
+            placements: Dict[str, SpillPlacement] = {}
+            places = (self.ccm_sizes
+                      and (allocator or regalloc_engine()) == "chaitin")
             for fn in prog.functions.values():
-                allocate_function(fn, machine, rematerialize=rematerialize,
-                                  engine=allocator)
+                if places:
+                    provider = CcmPlacementProvider(fn, self.ccm_sizes)
+                    allocate_function(fn, machine, slot_provider=provider,
+                                      graph_hook=provider.graph_hook,
+                                      rematerialize=rematerialize,
+                                      engine=allocator)
+                    placements[fn.name] = provider.placement
+                else:
+                    allocate_function(fn, machine,
+                                      rematerialize=rematerialize,
+                                      engine=allocator)
             self._allocated[key] = prog
+            self._placements[key] = placements
         return self._allocated[key]
 
     def integrated(self, optimize: bool, geometry: str, ccm_bytes: int,
                    allocator: Optional[str] = None,
                    rematerialize: bool = True) -> Program:
-        """Integrated allocation — depends on the CCM size but not on
-        compaction, which runs after allocation."""
+        """A fresh integrated-allocation program for one CCM size, for
+        the caller to finish (compaction runs after allocation)."""
+        if (allocator or regalloc_engine()) == "chaitin":
+            key = (optimize, geometry, allocator, rematerialize)
+            prog = self.allocated(*key).clone()
+            placements = self._placements[key]
+            for fn in prog.functions.values():
+                placements[fn.name].materialize(fn, ccm_bytes)
+            return prog
         key = (optimize, geometry, ccm_bytes, allocator, rematerialize)
-        if key not in self._integrated:
+        if key not in self._ssa_integrated:
             prog = self.lowered(optimize, geometry).clone()
             machine = MachineConfig(ccm_bytes=ccm_bytes,
                                     **GEOMETRIES[geometry])
             for fn in prog.functions.values():
                 allocate_function_integrated(fn, machine, engine=allocator,
                                              rematerialize=rematerialize)
-            self._integrated[key] = prog
-        return self._integrated[key]
+            self._ssa_integrated[key] = prog
+        return self._ssa_integrated[key].clone()
 
 
 def finalize_config(stages: _StageCache,
@@ -277,7 +311,7 @@ def finalize_config(stages: _StageCache,
     if config.variant == "integrated":
         program = stages.integrated(config.optimize, config.geometry,
                                     config.ccm_bytes, config.allocator,
-                                    config.rematerialize).clone()
+                                    config.rematerialize)
         if config.compaction:
             for fn in program.functions.values():
                 compact_spill_memory(fn)
@@ -302,7 +336,7 @@ def compile_config(program: Program, config: DiffConfig
                    ) -> Tuple[Program, MachineConfig]:
     """Compile ``program`` under one config (standalone entry point;
     ``check_source`` goes through a shared :class:`_StageCache`)."""
-    return finalize_config(_StageCache(program), config)
+    return finalize_config(_StageCache(program, [config]), config)
 
 
 # -- execution -----------------------------------------------------------------
@@ -430,7 +464,7 @@ def check_source(source: str, configs: Optional[Sequence[DiffConfig]] = None,
         result.skipped = f"reference machine error: {exc}"
         return _record(artifacts, key, result)
 
-    stages = _StageCache(base)
+    stages = _StageCache(base, configs)
     if sim_engine() == "batch":
         divergences = _check_all_batched(stages, configs, reference,
                                          fault, clock)

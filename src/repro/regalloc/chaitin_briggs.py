@@ -16,7 +16,11 @@ expanded algorithm of the paper's Figure 2:
 
 The spill-location decision is delegated to a *slot provider* so the
 paper's integrated CCM allocator (section 3.2) can reuse this entire
-machinery, changing only the emboldened steps of Figure 2.
+machinery, changing only the emboldened steps of Figure 2.  Pseudo
+nodes never constrain coloring, so a provider that places values into
+the CCM changes no register decision: see
+:mod:`repro.ccm.integrated` for how one allocation serves every CCM
+size.
 """
 
 from __future__ import annotations
@@ -58,6 +62,12 @@ class StackSlotProvider:
     def __init__(self, fn: Function):
         self.fn = fn
 
+    def begin_spill_round(self, fn: Function,
+                          analysis: AnalysisManager) -> None:
+        """Hook invoked once per spill round before any :meth:`assign`,
+        while ``analysis`` still describes the colored program;
+        default: nothing."""
+
     def assign(self, reg, graph: InterferenceGraph) -> SpillLocation:
         size = reg.rclass.size_bytes
         offset = _align(self.fn.frame_size, size)
@@ -68,6 +78,11 @@ class StackSlotProvider:
                         stores: List[Instruction],
                         loads: List[Instruction]) -> None:
         """Hook invoked after spill code is emitted; default: nothing."""
+
+    def finish(self, result: "AllocationResult") -> "AllocationResult":
+        """The provider's last word on a finished allocation, before its
+        trace counters are taken; default: the result unchanged."""
+        return result
 
 
 def _align(value: int, size: int) -> int:
@@ -124,7 +139,7 @@ class ChaitinBriggsAllocator:
 
     def run(self) -> AllocationResult:
         with trace_span("regalloc.allocate", fn=self.fn.name):
-            result = self._run()
+            result = self.slot_provider.finish(self._run())
         self._trace_result(result)
         return result
 
@@ -407,6 +422,9 @@ class ChaitinBriggsAllocator:
 
     def _insert_spill_code(self, spills: List[VirtualReg],
                            graph: InterferenceGraph) -> None:
+        # the cached liveness is current here: nothing mutated the IR
+        # since the graph build (or the coalesce pass that invalidated)
+        self.slot_provider.begin_spill_round(self.fn, self.analysis)
         remaining: List[VirtualReg] = []
         for reg in spills:
             template = self._remat_template(reg)

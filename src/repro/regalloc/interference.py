@@ -202,11 +202,15 @@ def build_interference_graph(fn: Function, machine: MachineConfig,
                              ) -> InterferenceGraph:
     """Construct the interference graph for ``fn``.
 
-    ``extra_node_hook`` is an object with ``begin(fn, graph[, manager])``
+    ``extra_node_hook`` is an object with ``begin(fn, graph, manager)``
     and ``visit(label, instr, live_after, graph)`` methods, invoked in
     the same backward walk that builds register interference; it lets
     the integrated CCM allocator splice CCM-location names into the same
     graph (paper section 3.2) without this module knowing about them.
+    A ``begin`` that returns ``False`` has nothing to add to this graph,
+    and the walk skips its ``visit`` calls.  ``live_after`` is a
+    :class:`~repro.analysis.bitset.MaskSetView` under the bitset engine
+    (its mask bits are graph ids) and a plain set under ``sets``.
 
     ``manager`` supplies cached CFG/liveness; without one they are
     computed locally.  ``engine`` overrides the process-wide liveness
@@ -217,11 +221,11 @@ def build_interference_graph(fn: Function, machine: MachineConfig,
     return _build_bitset(fn, machine, extra_node_hook, manager)
 
 
-def _begin_hook(hook, fn, graph, manager) -> None:
-    try:
-        hook.begin(fn, graph, manager)
-    except TypeError:
-        hook.begin(fn, graph)  # third-party hook with the two-arg API
+def _begin_hook(hook, fn, graph, manager):
+    """``hook`` if it takes part in this build, else None."""
+    if hook is None or hook.begin(fn, graph, manager) is False:
+        return None
+    return hook
 
 
 def _build_bitset(fn: Function, machine: MachineConfig, extra_node_hook,
@@ -265,8 +269,7 @@ def _build_bitset(fn: Function, machine: MachineConfig, extra_node_hook,
         RegClass.FLOAT: machine.caller_saved(RegClass.FLOAT),
     }
 
-    if extra_node_hook is not None:
-        _begin_hook(extra_node_hook, fn, graph, manager)
+    extra_node_hook = _begin_hook(extra_node_hook, fn, graph, manager)
 
     live_out = bits.live_out
     for block in fn.blocks:
@@ -333,8 +336,7 @@ def _build_sets(fn: Function, machine: MachineConfig, extra_node_hook,
         RegClass.FLOAT: machine.caller_saved(RegClass.FLOAT),
     }
 
-    if extra_node_hook is not None:
-        _begin_hook(extra_node_hook, fn, graph, manager)
+    extra_node_hook = _begin_hook(extra_node_hook, fn, graph, manager)
 
     for block in fn.blocks:
         for _, instr, live_after in liveness.live_across_instructions(block.label):

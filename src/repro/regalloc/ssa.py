@@ -50,7 +50,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from ..analysis import (INFINITE_DISTANCE, AnalysisManager, DenseIndex,
                         compute_liveness_masks, iter_bits,
-                        split_critical_edges, values_live_across_calls)
+                        split_critical_edges)
 from ..analysis.ssa import build_ssa
 from ..ir import (Function, Instruction, Opcode, PhysReg, RegClass,
                   VirtualReg, make_move, make_reload, make_spill)
@@ -493,10 +493,7 @@ class SsaAllocator:
                 self.analysis.invalidate(cfg=False)
             if not spills:
                 return
-        begin = getattr(self.slot_provider, "begin_round", None)
-        if begin is not None:
-            begin(values_live_across_calls(self.fn,
-                                           self.analysis.liveness()))
+        self.slot_provider.begin_spill_round(self.fn, self.analysis)
         locations: Dict[VirtualReg, SpillLocation] = {}
         respill: Set[VirtualReg] = set()
         demoted: Set[VirtualReg] = set()

@@ -158,3 +158,168 @@ entry:
 .endfunc
 """)
         assert CcmLocation(0, 4) not in graph.nodes()
+
+
+# the CCM spans above, as stack spill code: the slot hook must draw the
+# same value<->location edges from them as the CCM hook does
+TWIN_CASES = [
+    """
+.func f()
+entry:
+    loadI 7 => %v0
+    loadI 1 => %v1
+    ccmst %v1 => [0]
+    ccmld [0] => %v2
+    add %v0, %v2 => %v3
+    ret %v3
+.endfunc
+""", """
+.func f()
+entry:
+    loadI 1 => %v1
+    ccmst %v1 => [0]
+    loadI 7 => %v0
+    ccmld [0] => %v2
+    add %v0, %v2 => %v3
+    ret %v3
+.endfunc
+""", """
+.func f(%v9)
+entry:
+    loadI 7 => %v0
+    loadI 1 => %v1
+    ccmst %v1 => [8]
+    cbr %v9 -> a, b
+a:
+    jump -> b
+b:
+    ccmld [8] => %v2
+    add %v0, %v2 => %v3
+    ret %v3
+.endfunc
+""", """
+.func f()
+entry:
+    loadI 9 => %v0
+    loadI 1 => %v1
+    ccmst %v1 => [0]
+    ccmld [0] => %v2
+    loadFI 1.0 => %w0
+    fccmst %w0 => [8]
+    fccmld [8] => %w1
+    fadd %w1, %w1 => %w2
+    add %v2, %v0 => %v3
+    ret %v3
+.endfunc
+""", """
+.func f(%v9)
+entry:
+    loadI 1 => %v1
+    ccmst %v1 => [4]
+    jump -> head
+head:
+    ccmld [4] => %v2
+    addI %v2, 1 => %v3
+    ccmst %v3 => [4]
+    loadI 5 => %v0
+    cbr %v9 -> head, done
+done:
+    ccmld [4] => %v4
+    add %v4, %v0 => %v5
+    ret %v5
+.endfunc
+""",
+]
+
+
+def _as_stack(text):
+    for ccm, stack in (("fccmst", "fspill"), ("fccmld", "freload"),
+                       ("ccmst", "spill"), ("ccmld", "reload")):
+        text = text.replace(ccm, stack)
+    return text
+
+
+@pytest.fixture(params=("bitset", "sets"))
+def engine(request):
+    from repro.analysis.liveness import liveness_engine, set_liveness_engine
+    previous = liveness_engine()
+    set_liveness_engine(request.param)
+    yield request.param
+    set_liveness_engine(previous)
+
+
+class TestSpillSlotHook:
+    """The stack-slot twin of the CCM hook (allocate once, place per
+    size): one tracked slot per CCM-placed value."""
+
+    @pytest.mark.parametrize("case", range(len(TWIN_CASES)))
+    def test_same_edges_as_ccm_hook(self, engine, case):
+        from repro.ccm import SpillSlotHook
+        from repro.ccm.integrated import SpillSlot
+
+        text = TWIN_CASES[case]
+        ccm_graph = _graph(text)
+        fn = parse_function(_as_stack(text))
+        hook = SpillSlotHook()
+        for loc in [n for n in ccm_graph.nodes()
+                    if isinstance(n, CcmLocation)]:
+            hook.track(loc.offset, owner=f"owner{loc.offset}")
+        slot_graph = build_interference_graph(fn, PAPER_MACHINE_512, hook)
+        for node in ccm_graph.nodes():
+            if isinstance(node, PseudoNode):
+                continue
+            expected = {n.offset for n in ccm_graph.neighbors(node)
+                        if isinstance(n, CcmLocation)}
+            actual = {n.offset for n in slot_graph.neighbors(node)
+                      if isinstance(n, SpillSlot)}
+            assert actual == expected, node
+            assert {f"owner{o}" for o in actual} == set(
+                hook.owners_adjacent(node, slot_graph))
+
+    def test_untracked_slots_add_nothing(self, engine):
+        from repro.ccm import SpillSlotHook
+
+        fn = parse_function(_as_stack(TWIN_CASES[0]))
+        hook = SpillSlotHook()
+        graph = build_interference_graph(fn, PAPER_MACHINE_512, hook)
+        assert graph.pseudo_mask == 0
+        assert not any(isinstance(n, PseudoNode) for n in graph.nodes())
+
+
+class TestHookProtocol:
+    TEXT = TWIN_CASES[0]
+
+    def test_type_error_inside_begin_propagates(self, engine):
+        """A hook's own TypeError is a bug to surface, not a signal to
+        retry with another signature."""
+        class Broken:
+            def __init__(self):
+                self.begins = 0
+
+            def begin(self, fn, graph, manager):
+                self.begins += 1
+                raise TypeError("broken hook")
+
+            def visit(self, label, instr, live_after, graph):
+                pass
+
+        hook = Broken()
+        with pytest.raises(TypeError, match="broken hook"):
+            build_interference_graph(parse_function(self.TEXT),
+                                     PAPER_MACHINE_512, hook)
+        assert hook.begins == 1
+
+    def test_begin_false_skips_visits(self, engine):
+        class Idle:
+            visits = 0
+
+            def begin(self, fn, graph, manager):
+                return False
+
+            def visit(self, label, instr, live_after, graph):
+                self.visits += 1
+
+        hook = Idle()
+        build_interference_graph(parse_function(self.TEXT),
+                                 PAPER_MACHINE_512, hook)
+        assert hook.visits == 0

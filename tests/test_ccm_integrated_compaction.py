@@ -5,7 +5,7 @@ import pytest
 
 from conftest import assert_close, simulate
 
-from repro.ccm import (CcmLocation, IntegratedCcmAllocator,
+from repro.ccm import (CcmLocation,
                        allocate_function_integrated, compact_spill_memory,
                        find_spill_webs, analyze_webs)
 from repro.frontend import compile_source
