@@ -1,21 +1,18 @@
-"""Simulation-throughput benchmarks: the execute stage, all engines.
+"""Simulation-throughput benchmarks: the execute stage.
 
-PR 4's bitset dataflow engine made compilation cheap enough that the
-cycle-accurate simulator dominates every sweep, so simulated
-instructions/second is now a first-class watched quantity.  These
+The bitset dataflow engine made compilation cheap enough that the
+cycle-accurate simulator matters in every sweep, so simulated
+instructions/second is a first-class watched quantity.  These
 benchmarks run fpppp and twldrv — the suite's two largest routines —
-under the execution engines:
+through the simulator's one driver, two ways:
 
-* ``predecode`` (default): one-time closure compilation per function,
-  flat register files, baked immediates and branch targets;
-* ``interp``: the reference interpreter, re-decoding every instruction
-  on every dynamic execution;
-* ``batch``: one shared architectural pass fanned out over N
-  timing-variant machine configurations (the sweep's execute-stage
-  fast path) — reported as *configs per second*.
+* scalar: one :class:`Simulator` run (one-time closure compilation per
+  function, flat register files, baked immediates and branch targets);
+* batch: one shared architectural pass fanned out over N timing-variant
+  machine configurations (how the difftest lattice and the ablation
+  grid simulate) — reported as *configs per second*.
 
-The predecode/interp ratio is the scalar engine's speedup (target
-≥1.8×); the batch rows report per-config throughput at the batch width
+The batch rows report per-config throughput at the batch width
 a difftest lattice actually reaches, and a ratio gate pins the batched
 pass to beating N scalar runs by a wide margin (target ≥3× on a cold
 sweep's execute stage; the gate asserts a generous ≥1.5× so shared-
@@ -42,7 +39,6 @@ from repro.machine import (BatchMember, BatchSimulation, PAPER_MACHINE_512,
 from repro.workloads import build_routine
 
 ROUTINES = ("fpppp", "twldrv")
-ENGINES = ("predecode", "interp")
 
 #: typical architectural-group width in a difftest lattice sweep
 BATCH_WIDTH = 8
@@ -56,8 +52,8 @@ def _batch_members(width: int = BATCH_WIDTH):
 
 @pytest.fixture(scope="module")
 def compiled(request):
-    """One compiled program per routine, shared by both engine rows so
-    the comparison is artifact-for-artifact."""
+    """One compiled program per routine, shared by every row so the
+    comparisons are artifact-for-artifact."""
     programs = {}
     for routine in ROUTINES:
         prog = build_routine(routine)
@@ -66,18 +62,16 @@ def compiled(request):
     return programs
 
 
-@pytest.mark.parametrize("engine", ENGINES)
 @pytest.mark.parametrize("routine", ROUTINES)
-def test_sim_throughput(benchmark, compiled, routine, engine):
+def test_sim_throughput(benchmark, compiled, routine):
     prog = compiled[routine]
 
     def simulate():
-        return Simulator(prog, PAPER_MACHINE_512, engine=engine).run()
+        return Simulator(prog, PAPER_MACHINE_512).run()
 
     result = benchmark.pedantic(simulate, rounds=3, iterations=1,
                                 warmup_rounds=1)
     assert result.stats.instructions > 0
-    benchmark.extra_info["engine"] = engine
     benchmark.extra_info["routine"] = routine
     benchmark.extra_info["instructions"] = result.stats.instructions
     benchmark.extra_info["instructions_per_second"] = round(
@@ -86,15 +80,15 @@ def test_sim_throughput(benchmark, compiled, routine, engine):
 
 @pytest.mark.parametrize("routine", ROUTINES)
 def test_sim_throughput_pipelined(benchmark, compiled, routine):
-    """The scoreboard loop (pipelined loads) is the predecode engine's
-    slower path; watch it separately so it cannot silently regress."""
+    """The scoreboard loop (pipelined loads) is the driver's slower
+    path; watch it separately so it cannot silently regress."""
     import dataclasses
 
     prog = compiled[routine]
     machine = dataclasses.replace(PAPER_MACHINE_512, pipelined_loads=True)
 
     def simulate():
-        return Simulator(prog, machine, engine="predecode").run()
+        return Simulator(prog, machine).run()
 
     result = benchmark.pedantic(simulate, rounds=3, iterations=1,
                                 warmup_rounds=1)
@@ -131,7 +125,7 @@ def test_sim_batch_throughput(benchmark, compiled, routine):
 @pytest.mark.parametrize("routine", ROUTINES)
 def test_sim_batch_beats_scalar_loop(compiled, routine):
     """Ratio gate: one batched pass over N members must clearly beat N
-    scalar predecode runs of the same members.
+    scalar runs of the same members.
 
     The sweep-level target is ≥3× on a cold sweep's execute stage; this
     in-process gate asserts only ≥1.5× at width 8 so shared-runner
@@ -153,7 +147,7 @@ def test_sim_batch_beats_scalar_loop(compiled, routine):
 
     def scalar_loop():
         for member in members:
-            Simulator(prog, member.machine, engine="predecode").run()
+            Simulator(prog, member.machine).run()
 
     def batched():
         BatchSimulation(prog, members).run()

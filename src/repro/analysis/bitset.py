@@ -18,11 +18,10 @@ order of the legacy set-based interference builder, which keeps
 allocator tie-breaking (and therefore every compiled artifact)
 bit-identical to the set-based oracle.
 
-The set-based implementations remain available as a reference oracle
-(select with ``REPRO_LIVENESS_ENGINE=sets`` or
-:func:`repro.analysis.liveness.set_liveness_engine`); the equivalence
-property tests in ``tests/test_bitset_oracle_fuzz.py`` compare the two
-block-for-block and edge-for-edge over the fuzz corpus.
+The set-based implementations are kept as a reference oracle in
+``tests/liveness_oracle.py``; the equivalence property tests in
+``tests/test_bitset_oracle_fuzz.py`` compare the two block-for-block
+and edge-for-edge over the fuzz corpus.
 """
 
 from __future__ import annotations

@@ -9,49 +9,22 @@ paper's key analytical move (section 3.1: "a spill location m is live at
 p if there exists an execution path from p to an instruction that loads
 m").
 
-Two interchangeable engines compute the identical fixpoint:
-
-* ``bitset`` (default) — dense masks over a per-function register
-  numbering, with the set algebra replaced by integer AND/OR/ANDNOT
-  (:mod:`repro.analysis.bitset`).  This is the allocation hot path.
-* ``sets`` — the original Python-set implementation, retained as a
-  reference oracle.  Select it with ``REPRO_LIVENESS_ENGINE=sets`` in
-  the environment or :func:`set_liveness_engine`; the difftest CLI
-  exposes it as ``--liveness-engine``.
-
-The equivalence of the two engines is property-tested over the fuzz
-corpus (``tests/test_bitset_oracle_fuzz.py``).
+The fixpoint is computed over dense masks of a per-function register
+numbering, with the set algebra replaced by integer AND/OR/ANDNOT
+(:mod:`repro.analysis.bitset`); the per-block ``live_in``/``live_out``
+sets are materialized from the masks only for callers that read them.
+The original Python-set implementation is kept as a reference oracle in
+``tests/liveness_oracle.py``, and ``tests/test_bitset_oracle_fuzz.py``
+holds the two block-for-block equal over the fuzz corpus.
 """
 
 from __future__ import annotations
 
-import os
-from collections import deque
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, Optional, Set
 
-from ..ir import Function, Instruction
+from ..ir import Function
 from .bitset import BitLiveness, DenseIndex, compute_liveness_masks
 from .cfg import CFG
-
-_VALID_ENGINES = ("bitset", "sets")
-_engine = os.environ.get("REPRO_LIVENESS_ENGINE", "bitset")
-if _engine not in _VALID_ENGINES:
-    _engine = "bitset"
-
-
-def liveness_engine() -> str:
-    """The active dataflow engine: ``"bitset"`` or ``"sets"``."""
-    return _engine
-
-
-def set_liveness_engine(name: str) -> None:
-    """Select the dataflow engine for liveness *and* interference
-    construction.  ``"sets"`` activates the reference oracle."""
-    global _engine
-    if name not in _VALID_ENGINES:
-        raise ValueError(f"unknown liveness engine {name!r}; "
-                         f"expected one of {_VALID_ENGINES}")
-    _engine = name
 
 
 class _LazySetMap(dict):
@@ -102,14 +75,14 @@ class LivenessInfo:
     """Per-block live-in/live-out sets plus per-instruction queries.
 
     ``bits`` carries the mask-form facts
-    (:class:`~repro.analysis.bitset.BitLiveness`) when the bitset engine
-    computed them; mask-aware consumers (the interference builder, the
-    call-crossing scan) read it directly and skip set materialization.
+    (:class:`~repro.analysis.bitset.BitLiveness`) the sets are
+    materialized from; mask-aware consumers (the interference builder,
+    the call-crossing scan) read it directly and skip set
+    materialization.
     """
 
     def __init__(self, live_in: Dict[str, Set], live_out: Dict[str, Set],
-                 fn: Function, cfg: CFG,
-                 bits: Optional[BitLiveness] = None):
+                 fn: Function, cfg: CFG, bits: BitLiveness):
         self.live_in = live_in
         self.live_out = live_out
         self.fn = fn
@@ -123,112 +96,31 @@ class LivenessInfo:
         instruction executes — the set spill-interference is judged
         against.
 
-        Contract: the yielded set is a *borrowed snapshot*, valid only
-        until the generator is advanced, and must not be mutated by the
-        caller.  (The sets engine reuses one working set across the
-        walk; copy at the call site to retain a value.)
+        Each yielded set is freshly materialized; the caller may keep
+        or mutate it.
         """
         block = self.fn.block(label)
-        if self.bits is not None:
-            index = self.bits.index
-            ids = index.ids
-            live = self.bits.live_out[label]
-            for idx in range(len(block.instructions) - 1, -1, -1):
-                instr = block.instructions[idx]
-                yield idx, instr, index.set_of(live)
-                for d in instr.dsts:
-                    live &= ~(1 << ids[d])
-                if not instr.is_phi:
-                    for s in instr.srcs:
-                        live |= 1 << ids[s]
-            return
-        live = set(self.live_out[label])
+        index = self.bits.index
+        ids = index.ids
+        live = self.bits.live_out[label]
         for idx in range(len(block.instructions) - 1, -1, -1):
             instr = block.instructions[idx]
-            yield idx, instr, live
-            _step_backward(instr, live)
-
-
-def _uses_and_defs(instr: Instruction) -> Tuple[List, List]:
-    return list(instr.srcs), list(instr.dsts)
-
-
-def _step_backward(instr: Instruction, live: Set) -> None:
-    """Update ``live`` across ``instr`` in the backward direction."""
-    for d in instr.dsts:
-        live.discard(d)
-    if instr.is_phi:
-        return  # phi uses count at predecessor block ends
-    for s in instr.srcs:
-        live.add(s)
+            yield idx, instr, index.set_of(live)
+            for d in instr.dsts:
+                live &= ~(1 << ids[d])
+            if not instr.is_phi:
+                for s in instr.srcs:
+                    live |= 1 << ids[s]
 
 
 def compute_liveness(fn: Function, cfg: CFG = None,
-                     index: Optional[DenseIndex] = None,
-                     engine: Optional[str] = None) -> LivenessInfo:
-    """Liveness for ``fn`` using the active (or given) engine."""
+                     index: Optional[DenseIndex] = None) -> LivenessInfo:
+    """Liveness for ``fn``: mask facts plus lazily materialized sets."""
     cfg = cfg or CFG(fn)
-    if (engine or _engine) == "sets":
-        return _compute_liveness_sets(fn, cfg)
     facts = compute_liveness_masks(fn, cfg, index)
     return LivenessInfo(_LazySetMap(facts.live_in, facts.index),
                         _LazySetMap(facts.live_out, facts.index),
                         fn, cfg, bits=facts)
-
-
-def _compute_liveness_sets(fn: Function, cfg: CFG) -> LivenessInfo:
-    """The set-based reference oracle."""
-    use: Dict[str, Set] = {}
-    defs: Dict[str, Set] = {}
-    phi_defs: Dict[str, Set] = {}
-    phi_uses_at_pred: Dict[str, Set] = {b.label: set() for b in fn.blocks}
-
-    for block in fn.blocks:
-        u: Set = set()
-        d: Set = set()
-        pd: Set = set()
-        for instr in block.instructions:
-            if instr.is_phi:
-                for src, pred in zip(instr.srcs, instr.phi_labels):
-                    phi_uses_at_pred.setdefault(pred, set()).add(src)
-                for dst in instr.dsts:
-                    d.add(dst)
-                    pd.add(dst)
-                continue
-            for src in instr.srcs:
-                if src not in d:
-                    u.add(src)
-            for dst in instr.dsts:
-                d.add(dst)
-        use[block.label] = u
-        defs[block.label] = d
-        phi_defs[block.label] = pd
-
-    live_in: Dict[str, Set] = {b.label: set() for b in fn.blocks}
-    live_out: Dict[str, Set] = {b.label: set() for b in fn.blocks}
-
-    worklist = deque(cfg.postorder())
-    in_list = set(worklist)
-    while worklist:
-        label = worklist.popleft()
-        in_list.discard(label)
-        out: Set = set(phi_uses_at_pred.get(label, ()))
-        for succ in cfg.succs[label]:
-            # live-in of successor, minus its phi defs, plus nothing extra:
-            # phi defs are live-in to the successor but the corresponding
-            # liveness at this predecessor is the phi *source*, already in
-            # phi_uses_at_pred.
-            out |= (live_in[succ] - phi_defs[succ])
-        new_in = use[label] | (out - defs[label])
-        changed = out != live_out[label] or new_in != live_in[label]
-        live_out[label] = out
-        live_in[label] = new_in
-        if changed:
-            for pred in cfg.preds[label]:
-                if pred not in in_list:
-                    worklist.append(pred)
-                    in_list.add(pred)
-    return LivenessInfo(live_in, live_out, fn, cfg)
 
 
 def values_live_across_calls(fn: Function, liveness: LivenessInfo = None) -> Set:
@@ -239,28 +131,21 @@ def values_live_across_calls(fn: Function, liveness: LivenessInfo = None) -> Set
     the register-level analog used in tests and diagnostics.
     """
     liveness = liveness or compute_liveness(fn)
-    if liveness.bits is not None:
-        index = liveness.bits.index
-        ids = index.ids
-        live_out = liveness.bits.live_out
-        crossing = 0
-        for block in fn.blocks:
-            if not any(instr.is_call for instr in block.instructions):
-                continue
-            live = live_out[block.label]
-            for idx in range(len(block.instructions) - 1, -1, -1):
-                instr = block.instructions[idx]
-                if instr.is_call:
-                    crossing |= live
-                for d in instr.dsts:
-                    live &= ~(1 << ids[d])
-                if not instr.is_phi:
-                    for s in instr.srcs:
-                        live |= 1 << ids[s]
-        return index.set_of(crossing)
-    result: Set = set()
+    index = liveness.bits.index
+    ids = index.ids
+    live_out = liveness.bits.live_out
+    crossing = 0
     for block in fn.blocks:
-        for _, instr, live_after in liveness.live_across_instructions(block.label):
+        if not any(instr.is_call for instr in block.instructions):
+            continue
+        live = live_out[block.label]
+        for idx in range(len(block.instructions) - 1, -1, -1):
+            instr = block.instructions[idx]
             if instr.is_call:
-                result |= live_after
-    return result
+                crossing |= live
+            for d in instr.dsts:
+                live &= ~(1 << ids[d])
+            if not instr.is_phi:
+                for s in instr.srcs:
+                    live |= 1 << ids[s]
+    return index.set_of(crossing)

@@ -50,7 +50,6 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..analysis import CFG, AnalysisManager, iter_bits, \
     values_live_across_calls
-from ..analysis.bitset import MaskSetView
 from ..ir import (CCM_LOADS, CCM_STORES, SPILL_LOADS, SPILL_OPS, SPILL_STORES,
                   TO_CCM, Function, Instruction, Opcode, VirtualReg)
 from ..machine import MachineConfig
@@ -297,10 +296,9 @@ class SpillSlotHook:
     a value's slot neighbors are exactly the earlier-spilled values
     whose memory span it overlaps — under any CCM size.
 
-    Pseudo rows are written as masks where the walk supplies them
-    (``adj[slot] |= live_mask``) and mirrored by the builder's
-    symmetrize step; under the ``sets`` builder edges are added one by
-    one.  A build with no tracked slot skips the hook entirely.
+    Pseudo rows are written as masks (``adj[slot] |= live_mask``) and
+    mirrored by the builder's symmetrize step.  A build with no tracked
+    slot skips the hook entirely.
     """
 
     def __init__(self):
@@ -369,42 +367,29 @@ class SpillSlotHook:
         self._live = 0
         return True
 
-    def _add_edges(self, j: int, regs, graph: InterferenceGraph) -> None:
-        """Edges between tracked slot ``j`` and every register in
-        ``regs`` (a mask of graph ids, or an iterable of registers)."""
-        if isinstance(regs, int):
-            self._adj[self._pids[j]] |= regs
-        else:
-            node = self._nodes[j]
-            for reg in regs:
-                graph.add_pseudo_edge(reg, node)
-
     def visit(self, label: str, instr: Instruction, live_after,
               graph: InterferenceGraph) -> None:
         if label != self._current:
             self._current = label
             self._live = self._live_out[label]
-        masks = isinstance(live_after, MaskSetView)
         live = self._live
+        adj = self._adj
+        pids = self._pids
         if live and instr.dsts:
             # every register defined here conflicts with live slots
-            if masks:
-                ids = graph._ids
-                dsts = 0
-                for dst in instr.dsts:
-                    dsts |= 1 << ids[dst]
-            else:
-                dsts = instr.dsts
+            ids = graph._ids
+            dsts = 0
+            for dst in instr.dsts:
+                dsts |= 1 << ids[dst]
             for j in iter_bits(live):
-                self._add_edges(j, dsts, graph)
+                adj[pids[j]] |= dsts
         opcode = instr.opcode
         if opcode in SPILL_STORES:
             j = self._bit.get(instr.imm)
             if j is not None:
                 # the slot becomes live here: everything live after the
                 # store conflicts with it
-                self._add_edges(j, live_after.mask if masks else live_after,
-                                graph)
+                adj[pids[j]] |= live_after.mask
                 self._live = live & ~(1 << j)
         elif opcode in SPILL_LOADS:
             j = self._bit.get(instr.imm)

@@ -21,9 +21,8 @@ import os
 import sys
 from typing import List, Optional
 
-from ..analysis import set_liveness_engine
 from ..exec import ArtifactCache, SweepStats, default_cache_dir, default_jobs
-from ..machine import set_sim_engine
+from ..exec.argtypes import nonnegative_int, positive_int
 from ..regalloc import set_regalloc_engine
 from ..trace import TraceRecorder, format_summary, write_chrome_trace
 from .corpus import save_corpus_entry
@@ -41,7 +40,8 @@ PROFILES = {
 
 
 def _parse_ccm_sizes(text: str) -> List[int]:
-    sizes = [int(part) for part in text.split(",") if part.strip() != ""]
+    sizes = [nonnegative_int(part) for part in text.split(",")
+             if part.strip() != ""]
     if not sizes:
         raise argparse.ArgumentTypeError("need at least one CCM size")
     return sizes
@@ -77,7 +77,7 @@ def build_parser(parser: Optional[argparse.ArgumentParser] = None
     parser = parser or argparse.ArgumentParser(
         prog="repro difftest",
         description="Differential testing of the whole compilation pipeline")
-    parser.add_argument("--seeds", type=int, default=None,
+    parser.add_argument("--seeds", type=positive_int, default=None,
                         help="number of seeds to fuzz (default: profile)")
     parser.add_argument("--start", type=int, default=None,
                         help="first seed (default: profile)")
@@ -110,21 +110,6 @@ def build_parser(parser: Optional[argparse.ArgumentParser] = None
                              "(what 'default' in --allocators resolves "
                              "to). Exported to worker processes via "
                              "REPRO_REGALLOC_ENGINE.")
-    parser.add_argument("--liveness-engine", choices=("bitset", "sets"),
-                        default=None,
-                        help="dataflow engine for liveness/interference: "
-                             "'bitset' (dense masks; default) or 'sets' "
-                             "(the reference oracle). Exported to worker "
-                             "processes via REPRO_LIVENESS_ENGINE.")
-    parser.add_argument("--sim-engine",
-                        choices=("predecode", "interp", "batch"),
-                        default=None,
-                        help="simulator execution engine: 'predecode' "
-                             "(closure-compiled; default), 'batch' "
-                             "(one shared pass per group of configs "
-                             "that compile to identical code), or "
-                             "'interp' (the reference oracle). Exported "
-                             "to worker processes via REPRO_SIM_ENGINE.")
     parser.add_argument("--json", metavar="PATH", default=None,
                         help="write the JSON report here ('-' for stdout)")
     parser.add_argument("-j", "--jobs", type=int, default=None,
@@ -173,15 +158,9 @@ def _reduce_divergence(seed: int, config_names: List[str],
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.liveness_engine is not None:
+    if args.regalloc_engine is not None:
         # both for this process and for spawned sweep workers, which
         # re-read the environment at import
-        os.environ["REPRO_LIVENESS_ENGINE"] = args.liveness_engine
-        set_liveness_engine(args.liveness_engine)
-    if args.sim_engine is not None:
-        os.environ["REPRO_SIM_ENGINE"] = args.sim_engine
-        set_sim_engine(args.sim_engine)
-    if args.regalloc_engine is not None:
         os.environ["REPRO_REGALLOC_ENGINE"] = args.regalloc_engine
         set_regalloc_engine(args.regalloc_engine)
     configs = config_lattice(tuple(args.ccm), geometry=args.machine,

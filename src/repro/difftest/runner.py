@@ -40,11 +40,11 @@ from ..frontend import compile_source
 from ..ir import Program, verify_program
 from ..machine import (BatchMember, BatchSimulation, BatchSplit,
                        MachineConfig, RunStats, SimulationError, Simulator,
-                       batch_key, sim_engine)
+                       batch_key)
 from ..opt import optimize_program
 from ..regalloc import (allocate_function, lower_calling_convention,
                         regalloc_engine)
-from ..trace import TraceRecorder, recording
+from ..trace import TraceRecorder, recording, trace_span
 from .gen import generate_source
 
 DEFAULT_CCM_SIZES = (0, 64, 512, 1024)
@@ -434,9 +434,12 @@ def check_source(source: str, configs: Optional[Sequence[DiffConfig]] = None,
     Fault-injected runs are never cached — the fault function is not
     part of the key.
 
-    ``clock``, if given, accumulates "compile" (front end + pipeline +
-    allocation) and "execute" (simulation) stage timings so SweepStats
-    can report where a sweep's wall time actually goes.
+    ``clock``, if given, accumulates stage timings so SweepStats can
+    report where a sweep's wall time actually goes: "compile" (front
+    end + pipeline + allocation), "group" (batch keying), "execute"
+    (the reference run), "execute.batch" (shared lattice passes) and
+    "execute.scalar" (per-member fallbacks); ``--stats`` rolls the
+    last three up into "execute".
     """
     configs = list(configs) if configs is not None else config_lattice()
     key = None
@@ -464,21 +467,8 @@ def check_source(source: str, configs: Optional[Sequence[DiffConfig]] = None,
         result.skipped = f"reference machine error: {exc}"
         return _record(artifacts, key, result)
 
-    stages = _StageCache(base, configs)
-    if sim_engine() == "batch":
-        divergences = _check_all_batched(stages, configs, reference,
-                                         fault, clock)
-    else:
-        # dynamic stack-spill traffic of the baseline per (opt,
-        # allocator, remat) setting, for the post-pass conservation
-        # invariant
-        baseline_spill: Dict[tuple, int] = {}
-        divergences = []
-        for config in configs:
-            divergence = _check_one(stages, config, reference,
-                                    baseline_spill, fault, clock)
-            if divergence is not None:
-                divergences.append(divergence)
+    divergences = _check_all_batched(_StageCache(base, configs), configs,
+                                     reference, fault, clock)
     for divergence in divergences:
         divergence.seed = seed
         divergence.source = source
@@ -508,26 +498,6 @@ def _record(artifacts: Optional[ArtifactCache], key: Optional[str],
     return result
 
 
-def _check_one(stages: _StageCache, config: DiffConfig, reference: Outcome,
-               baseline_spill: Dict[tuple, int],
-               fault: FaultFn = None,
-               clock: Optional[StageClock] = None) -> Optional[Divergence]:
-    try:
-        with _timed(clock, "compile"):
-            program, machine = finalize_config(stages, config)
-    except Exception as exc:
-        return Divergence(None, config.name, "compile_error",
-                          f"{type(exc).__name__}: {exc}")
-    if fault is not None:
-        fault(program)
-    try:
-        with _timed(clock, "execute"):
-            outcome = _execute(program, machine, poison=True)
-    except SimulationError as exc:
-        return _machine_error_divergence(config, exc, reference)
-    return _judge(config, outcome, reference, baseline_spill, fault)
-
-
 def _machine_error_divergence(config: DiffConfig, exc: SimulationError,
                               reference: Outcome) -> Divergence:
     return Divergence(None, config.name, "trap",
@@ -539,8 +509,10 @@ def _judge(config: DiffConfig, outcome: Outcome, reference: Outcome,
            baseline_spill: Dict[tuple, int],
            fault: FaultFn = None) -> Optional[Divergence]:
     """Compare one config's outcome against the reference and the
-    sanity invariants — shared verbatim by the per-config scalar loop
-    and the batched path, so both report identical divergences."""
+    sanity invariants.  ``baseline_spill`` collects the baseline's
+    stack-spill traffic per (opt, allocator, remat) setting as configs
+    are judged in lattice order, for the post-pass conservation
+    invariant."""
     if reference.kind == "trap":
         if outcome.kind != "trap":
             return Divergence(None, config.name, "trap",
@@ -585,17 +557,18 @@ def _check_all_batched(stages: _StageCache, configs: Sequence[DiffConfig],
                        reference: Outcome, fault: FaultFn = None,
                        clock: Optional[StageClock] = None
                        ) -> List[Divergence]:
-    """The whole lattice under the batch simulation engine.
+    """Compile, simulate, and judge the whole lattice.
 
     Compiles every config first, groups them by
     :func:`repro.machine.batch_key` (configs whose programs compile to
     identical code under an architecturally-identical machine), runs
     one :class:`BatchSimulation` per group, then judges each config in
-    lattice order with the same logic as the scalar loop — the
-    resulting :class:`SeedResult` is bit-identical, only the execute
-    stage is shared.  Execute time lands in ``execute.batch`` /
-    ``execute.scalar`` instead of ``execute``; fingerprint/grouping
-    time lands in ``group``.
+    lattice order — each outcome is bit-identical to a scalar run of
+    that config, only the execute stage is shared.  Stage clocks:
+    ``compile`` per config, ``group`` for fingerprinting (also traced
+    as ``difftest.batch_key`` spans), ``execute.batch`` for shared
+    passes and ``execute.scalar`` for per-member fallbacks (the
+    reference run stays in ``execute``).
 
     Only one *representative* program clone is kept per group — a
     member's contribution beyond its fingerprint is just its machine.
@@ -620,7 +593,7 @@ def _check_all_batched(stages: _StageCache, configs: Sequence[DiffConfig],
             continue
         if fault is not None:
             fault(program)
-        with _timed(clock, "group"):
+        with _timed(clock, "group"), trace_span("difftest.batch_key"):
             key = batch_key(program, machine)
         keys.append(key)
         machines[index] = machine

@@ -19,8 +19,8 @@ share:
   hit-rate accounting, surfaced as ``--stats`` JSON so perf regressions
   in the compiler itself stay visible.
 * :mod:`repro.exec.batching` — deterministic grouping of jobs into
-  simulation batches for the batch engine (one architectural pass per
-  group of configs that compile to identical code).
+  simulation batches (one architectural pass per group of configs that
+  compile to identical code).
 * :mod:`repro.exec.wholeprog` — the SCC-partitioned whole-program
   compilation driver: condense the call graph, schedule SCC waves onto
   a persistent :class:`~repro.exec.pool.JobPool` callee-before-caller,

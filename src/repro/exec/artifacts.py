@@ -173,18 +173,6 @@ class ArtifactCache:
         self.root = root or default_cache_dir()
         if version is None:
             version = code_version()
-            # the engines are designed to be output-identical, but the
-            # whole point of selecting a reference oracle (e.g. in a
-            # difftest run) is to *recompute* rather than replay cached
-            # default-engine artifacts
-            from ..analysis import liveness_engine
-            engine = liveness_engine()
-            if engine != "bitset":
-                version = f"{version}+{engine}"
-            from ..machine import sim_engine
-            engine = sim_engine()
-            if engine != "predecode":
-                version = f"{version}+sim-{engine}"
             # the register-allocator backends produce *different* (but
             # behaviorally equivalent) code, so their artifacts may
             # never share a cache entry

@@ -188,6 +188,7 @@ class JobPool:
         pool, self._pool = self._pool, None
         if pool is None:
             return True
+        from multiprocessing.connection import wait as wait_for_exit
         with self._lock:
             pending = list(self._outstanding)
             self._outstanding.clear()
@@ -204,8 +205,11 @@ class JobPool:
         for proc in processes:
             remaining = (None if deadline is None
                          else max(0.0, deadline - time.monotonic()))
-            proc.join(remaining)
-            if proc.is_alive():
+            # wait on the exit sentinel, not join(): the executor's
+            # manager thread reaps these same children concurrently, and
+            # a join that loses that race reports an exited worker as
+            # still alive
+            if not wait_for_exit([proc.sentinel], remaining):
                 clean = False
                 proc.terminate()
         for proc in processes:

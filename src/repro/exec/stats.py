@@ -131,15 +131,13 @@ class SweepStats:
     def rolled_stages(self) -> Dict[str, StageStat]:
         """Stages plus parent roll-ups for dotted sub-stage names.
 
-        Engines attribute their share of a stage with a dotted suffix —
-        the batch simulation engine records ``execute.batch`` (the
-        shared architectural pass) and ``execute.scalar`` (per-config
-        fallback runs) where the scalar engines record plain
-        ``execute``.  Rolling sub-stages up into their parent keeps
-        ``stages.execute`` comparable across engines in ``--stats``
-        output, which is what makes a cross-engine speedup claim
-        measurable, while the sub-stage entries preserve the
-        attribution.
+        A stage's parts carry a dotted suffix — the difftest runner
+        records ``execute.batch`` (shared lattice passes) and
+        ``execute.scalar`` (per-member fallback runs) next to plain
+        ``execute`` (the reference run).  Rolling sub-stages up into
+        their parent makes ``stages.execute`` the whole simulation
+        time in ``--stats`` output, while the sub-stage entries
+        preserve the attribution.
         """
         merged: Dict[str, StageStat] = {
             name: StageStat(stat.calls, stat.wall_s, stat.cpu_s)

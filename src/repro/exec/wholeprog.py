@@ -580,6 +580,7 @@ def cli_main(argv=None) -> int:
 
     from ..machine import PAPER_MACHINE_512
     from ..workloads.appgen import AppProfile, generate_application
+    from .argtypes import nonnegative_int, positive_int
     from .artifacts import default_cache_dir
     from .pool import default_jobs
 
@@ -587,13 +588,15 @@ def cli_main(argv=None) -> int:
         prog="ccm-harness --whole-program",
         description="SCC-partitioned whole-program compilation of a "
                     "generated application")
-    parser.add_argument("--routines", type=int, default=500, metavar="N",
+    parser.add_argument("--routines", type=positive_int, default=500,
+                        metavar="N",
                         help="routines in the generated application "
                              "(default 500)")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--levels", type=int, default=0,
                         help="call-graph depth (default: scale with size)")
-    parser.add_argument("--ccm", type=int, default=None, metavar="BYTES",
+    parser.add_argument("--ccm", type=nonnegative_int, default=None,
+                        metavar="BYTES",
                         help="CCM size in bytes (default 512)")
     parser.add_argument("-j", "--jobs", type=int, default=None, metavar="N",
                         help="worker processes (default: all cores; "

@@ -25,9 +25,8 @@ from typing import Dict, List, Optional, Tuple
 
 from ..exec import ArtifactCache, StageClock, SweepStats, run_jobs
 from ..ir import format_program
-from ..machine import (BatchMember, BatchSimulation, CacheConfig, DataCache,
-                       MachineConfig, sim_engine)
-from ..machine.simulator import Simulator
+from ..machine import (BatchMember, BatchSimulation, CacheConfig,
+                       MachineConfig)
 from ..workloads.suite import build_routine
 from .experiment import compile_program
 
@@ -115,45 +114,6 @@ class AblationResult:
         return "\n".join(lines)
 
 
-def _ablation_job(item: Tuple[str, str], machine: MachineConfig,
-                  cache_root: Optional[str], cache_version: Optional[str]
-                  ) -> Tuple[AblationCell, dict]:
-    """One pool job: one (routine, ablation config) cell."""
-    routine, config_name = item
-    variant, cache_config = CONFIGS[config_name]
-    clock = StageClock()
-    artifacts = (ArtifactCache(cache_root, version=cache_version)
-                 if cache_root is not None else None)
-    with clock.stage("build"):
-        prog = build_routine(routine)
-    key = None
-    if artifacts is not None:
-        key = _cell_key(artifacts, format_program(prog), config_name,
-                        machine)
-        hit, cached = artifacts.get(key)
-        if hit:
-            payload = clock.to_payload(cache_hit=True)
-            payload["cache_errors"] = artifacts.errors
-            payload["cache_stores"] = artifacts.stores
-            return cached, payload
-    with clock.stage("compile"):
-        compile_program(prog, machine, variant)
-    with clock.stage("simulate"):
-        cache = DataCache(cache_config)
-        run = Simulator(prog, machine, cache=cache,
-                        poison_caller_saved=True).run()
-    cell = AblationCell(routine, config_name, run.stats.cycles,
-                        run.stats.memory_cycles, cache.stats.hit_rate,
-                        cache.stats.effective_hit_rate)
-    if artifacts is not None:
-        artifacts.put(key, cell)
-    payload = clock.to_payload(cache_hit=False)
-    if artifacts is not None:
-        payload["cache_errors"] = artifacts.errors
-        payload["cache_stores"] = artifacts.stores
-    return cell, payload
-
-
 def _cell_key(artifacts: ArtifactCache, program_text: str, config_name: str,
               machine: MachineConfig) -> str:
     variant, cache_config = CONFIGS[config_name]
@@ -167,14 +127,15 @@ def _ablation_batch_job(item: Tuple[str, str, Tuple[str, ...]],
                         cache_root: Optional[str],
                         cache_version: Optional[str]
                         ) -> Tuple[List[AblationCell], dict]:
-    """One pool job under the batch engine: every ablation config of
-    one (routine, variant) pair, simulated in a single shared pass.
+    """One pool job: every ablation config of one (routine, variant)
+    pair, simulated in a single shared pass.
 
     The grid's grouping is static — all four cache ablations run the
     identical baseline-compiled routine and differ only in their
-    attached cache, which is exactly the batch engine's fan-out axis —
-    so each cell is bit-identical to its scalar ``_ablation_job``
-    counterpart (the artifact-cache keys are the same, per cell).
+    attached cache, which is exactly a batch's fan-out axis — so each
+    cell is bit-identical to a scalar run with that cell's
+    :class:`~repro.machine.DataCache`.  Cells are cached one artifact
+    each.
     """
     routine, variant, config_names = item
     clock = StageClock()
@@ -223,32 +184,19 @@ def run_ablation(routines: Optional[List[str]] = None,
     machine = machine or MachineConfig(ccm_bytes=1024)
     cache_root = artifacts.root if artifacts is not None else None
     cache_version = artifacts.version if artifacts is not None else None
-    cells: List[AblationCell] = []
-    if sim_engine() == "batch":
-        # one job per (routine, variant): its configs share one pass
-        grouped: Dict[Tuple[str, str], List[str]] = {}
-        for routine in (routines or DEFAULT_ROUTINES):
-            for config_name, (variant, _) in CONFIGS.items():
-                grouped.setdefault((routine, variant), []).append(config_name)
-        batch_items = [(routine, variant, tuple(names))
-                       for (routine, variant), names in grouped.items()]
-        batch_job = functools.partial(
-            _ablation_batch_job, machine=machine,
-            cache_root=cache_root, cache_version=cache_version)
-        for _, (group_cells, payload) in run_jobs(batch_job, batch_items,
-                                                  jobs=jobs):
-            cells.extend(group_cells)
-            if stats is not None:
-                stats.merge_job(payload)
-        return AblationResult(cells)
-    items = [(routine, config_name)
-             for routine in (routines or DEFAULT_ROUTINES)
-             for config_name in CONFIGS]
+    # one job per (routine, variant): its configs share one pass
+    grouped: Dict[Tuple[str, str], List[str]] = {}
+    for routine in (routines or DEFAULT_ROUTINES):
+        for config_name, (variant, _) in CONFIGS.items():
+            grouped.setdefault((routine, variant), []).append(config_name)
+    items = [(routine, variant, tuple(names))
+             for (routine, variant), names in grouped.items()]
     job = functools.partial(
-        _ablation_job, machine=machine,
+        _ablation_batch_job, machine=machine,
         cache_root=cache_root, cache_version=cache_version)
-    for _, (cell, payload) in run_jobs(job, items, jobs=jobs):
-        cells.append(cell)
+    cells: List[AblationCell] = []
+    for _, (group_cells, payload) in run_jobs(job, items, jobs=jobs):
+        cells.extend(group_cells)
         if stats is not None:
             stats.merge_job(payload)
     return AblationResult(cells)

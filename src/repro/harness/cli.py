@@ -28,17 +28,23 @@ import sys
 import time
 from typing import List, Optional
 
-from ..exec import ArtifactCache, SweepStats, default_cache_dir, default_jobs
+from ..exec import ArtifactCache, default_cache_dir, default_jobs
+from ..exec.argtypes import nonnegative_int
 from ..trace import TraceRecorder, format_summary, write_chrome_trace
+from ..workloads.suite import suite_names
 from .ablation import run_ablation
 from .experiment import ExperimentRunner
 from .tables import (figure, program_runner, table1, table2, table3, table4)
 
 
-def _routine_list(arg: Optional[str]) -> Optional[List[str]]:
-    if not arg:
-        return None
-    return [name.strip() for name in arg.split(",") if name.strip()]
+def _routine_list(arg: str) -> Optional[List[str]]:
+    """``--routines``: a comma-separated subset of the 59 suite routines."""
+    names = [name.strip() for name in arg.split(",") if name.strip()]
+    unknown = [name for name in names if name not in suite_names()]
+    if unknown:
+        raise argparse.ArgumentTypeError(
+            f"unknown suite routine(s): {', '.join(unknown)}")
+    return names or None
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -58,19 +64,10 @@ def main(argv: Optional[List[str]] = None) -> int:
                         choices=["table1", "table2", "table3", "table4",
                                  "fig3", "fig4", "ablation", "experiments",
                                  "all", "difftest"])
-    parser.add_argument("--ccm", type=int, default=512,
+    parser.add_argument("--ccm", type=nonnegative_int, default=512,
                         help="CCM size in bytes for table2 (default 512)")
-    parser.add_argument("--routines", type=str, default="",
+    parser.add_argument("--routines", type=_routine_list, default=None,
                         help="comma-separated routine subset")
-    parser.add_argument("--sim-engine",
-                        choices=("predecode", "interp", "batch"),
-                        default=None,
-                        help="simulator execution engine: 'predecode' "
-                             "(closure-compiled; default), 'batch' "
-                             "(one shared pass per group of identical "
-                             "compiled programs), or 'interp' (the "
-                             "reference oracle). Exported to worker "
-                             "processes via REPRO_SIM_ENGINE.")
     parser.add_argument("--regalloc-engine",
                         choices=("chaitin", "ssa", "ssa-everywhere"),
                         default=None,
@@ -102,23 +99,16 @@ def main(argv: Optional[List[str]] = None) -> int:
                              "(implies --trace)")
     args = parser.parse_args(argv)
 
-    if args.sim_engine is not None:
+    if args.regalloc_engine is not None:
         # both for this process and for spawned sweep workers, which
         # re-read the environment at import
-        import os
-
-        from ..machine import set_sim_engine
-        os.environ["REPRO_SIM_ENGINE"] = args.sim_engine
-        set_sim_engine(args.sim_engine)
-
-    if args.regalloc_engine is not None:
         import os
 
         from ..regalloc import set_regalloc_engine
         os.environ["REPRO_REGALLOC_ENGINE"] = args.regalloc_engine
         set_regalloc_engine(args.regalloc_engine)
 
-    workloads = _routine_list(args.routines)
+    workloads = args.routines
     jobs = args.jobs if args.jobs is not None else default_jobs()
     artifacts = (None if args.no_cache
                  else ArtifactCache(args.cache_dir or default_cache_dir()))

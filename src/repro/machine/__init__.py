@@ -5,7 +5,7 @@ from .batch import (BatchMember, BatchSimulation, BatchSplit, BatchedCaches,
                     program_uses_ccm)
 from .cache import CacheConfig, CacheStats, DataCache
 from .simulator import (OutOfFuel, RunResult, RunStats, SimulationError,
-                        Simulator, POISON, sim_engine, set_sim_engine)
+                        Simulator, POISON)
 from .target import (DEFAULT_MACHINE, MachineConfig, PAPER_MACHINE_1024,
                      PAPER_MACHINE_512)
 
@@ -15,7 +15,6 @@ __all__ = [
     "program_uses_ccm",
     "CacheConfig", "CacheStats", "DataCache", "OutOfFuel", "RunResult",
     "RunStats", "SimulationError", "Simulator", "POISON",
-    "sim_engine", "set_sim_engine",
     "DEFAULT_MACHINE", "MachineConfig", "PAPER_MACHINE_1024",
     "PAPER_MACHINE_512",
 ]

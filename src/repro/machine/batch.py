@@ -2,9 +2,9 @@
 
 A difftest lattice (and the section 4.3 ablation grid) executes the
 *same compiled code* under many machine-parameter points — only ~18% of
-decoded programs in a sweep are unique.  The predecode engine already
-amortizes decoding, but still pays the full per-instruction dispatch
-cost once per config.  This engine pays it once per *batch*:
+decoded programs in a sweep are unique.  The decode cache already
+amortizes decoding, but a scalar run still pays the full
+per-instruction dispatch cost once per config.  A batch pays it once:
 
 * **Architectural sharing.**  Two machine configurations produce the
   same values, memory image, control flow, and traps whenever they
@@ -13,7 +13,8 @@ cost once per config.  This engine pays it once per *batch*:
   which also fixes the caller-saved poison set).  Latencies are
   timing, not architecture.  :func:`arch_signature` captures exactly
   this; a :class:`BatchSimulation` requires all members to share it
-  and runs the program **once** through the predecode fast loop.
+  and runs the program **once** through the simulator's driver
+  (:func:`repro.machine.predecode.drive`).
 * **Optimistic CCM sharing.**  ``ccm_bytes`` is observable only
   through the CCM bounds trap, and the trap offset depends on the
   *dynamic* CCM base — so whether two limits diverge cannot be decided
@@ -27,7 +28,7 @@ cost once per config.  This engine pays it once per *batch*:
   limits on board, since CCM trap messages render the limit — the pass
   raises :class:`BatchSplit` and the caller re-dispatches each
   same-limit class as its own strict batch.
-* **Per-member timing fan-out.**  The predecode engine's cycle
+* **Per-member timing fan-out.**  The driver's cycle
   accounting is already lazy (``op_cycles = (instructions - mem_ops) *
   default_latency``; memory cycles from per-access latencies), so each
   member's :class:`RunStats` is assembled after the fact from the
@@ -40,20 +41,21 @@ cost once per config.  This engine pays it once per *batch*:
   and write-buffer bookkeeping, and per-member latency accumulators.
 * **Scalar fallback.**  ``pipelined_loads`` machines interleave the
   stall scoreboard with execution and cannot share a pass; such
-  members fall back to per-member predecode runs (attributed
-  separately, see ``execute.scalar``).
+  members fall back to per-member scalar runs (attributed separately,
+  see ``execute.scalar``).
 
-Bit-identity with the scalar engines is a hard contract enforced by
-``tests/test_sim_batch_fuzz.py`` (batch vs predecode vs interpreter)
-and the property suite in ``tests/test_sim_batch_properties.py``.
-Select the engine process-wide with ``REPRO_SIM_ENGINE=batch`` (or
-``--sim-engine batch``); a single :class:`~.simulator.Simulator` under
-that engine runs as a batch of one.
+Bit-identity with scalar :class:`~.simulator.Simulator` runs is a hard
+contract enforced by ``tests/test_sim_batch_fuzz.py`` (batch vs scalar
+vs the reference interpreter) and the property suite in
+``tests/test_sim_batch_properties.py``.  The difftest lattice and the
+section 4.3 ablation grid always simulate through this module.
 """
 
 from __future__ import annotations
 
 import hashlib
+import marshal
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -61,14 +63,12 @@ from ..ir import Opcode, Program
 from ..ir.operands import VirtualReg
 from ..trace import current as _trace_current
 from .cache import CacheConfig, CacheStats, DataCache
-from .predecode import (_loop_fast, _prepare_engine, _writeback_phys,
-                        decode_function)
-from .simulator import RunResult, RunStats, SimulationError, Simulator
+from .predecode import drive, run_stats
+from .simulator import RunResult, SimulationError, Simulator, count_run
 from .target import MachineConfig
 
 __all__ = ["BatchMember", "BatchSimulation", "BatchSplit", "BatchedCaches",
-           "arch_signature", "program_fingerprint", "program_uses_ccm",
-           "run_batch_single"]
+           "arch_signature", "program_fingerprint", "program_uses_ccm"]
 
 #: opcodes whose behavior reads ``ccm_bytes`` (the bounds trap)
 _CCM_OPS = frozenset((Opcode.CCMST, Opcode.FCCMST,
@@ -129,7 +129,9 @@ _OP_IDS = {op: n for n, op in enumerate(Opcode)}
 
 
 def _encode(program: Program) -> list:
-    """One pass over the program: the digestible content parts.
+    """One pass over the program: the digestible content, as one flat
+    list of atoms with a length before every variable-length run (so
+    the flattening stays unambiguous).
 
     The encoding covers every execution-relevant
     :class:`~..ir.instructions.Instruction` slot — everything except
@@ -143,44 +145,57 @@ def _encode(program: Program) -> list:
     exactly what register allocation does, so the mask must tell them
     apart.  A structural encoding rather than the formatted listing
     because a sweep fingerprints every compiled config and the textual
-    printer is ~10x more expensive.
+    printer is ~10x more expensive; flat, because allocating no
+    container per instruction cuts that cost by another third.
     """
     op_ids = _OP_IDS
     vreg = VirtualReg
-    parts: list = [program.name, program.entry_name]
+    parts: list = [program.name, program.entry_name, len(program.globals)]
+    append = parts.append
+    extend = parts.extend
     for g in program.globals.values():
-        parts.append((g.name, g.size_bytes, g.element_class.value,
-                      tuple(g.init) if g.init is not None else None))
+        extend((g.name, g.size_bytes, g.element_class.value, g.init))
+    append(len(program.functions))
     for fn in program.functions.values():
         pmask = 0
         for p in fn.params:
             pmask = (pmask << 1) | (type(p) is vreg)
-        parts.append((fn.name, fn.frame_size, pmask,
-                      [p._hash for p in fn.params]))
+        extend((fn.name, fn.frame_size, pmask, len(fn.params)))
+        for p in fn.params:
+            append(p._hash)
+        append(len(fn.blocks))
         for block in fn.blocks:
-            parts.append(block.label)
-            for i in block.instructions:
-                oid = op_ids[i.opcode]
+            instrs = block.instructions
+            extend((block.label, len(instrs)))
+            for i in instrs:
+                dsts = i.dsts
+                srcs = i.srcs
                 mask = 0
-                for r in i.dsts:
+                for r in dsts:
                     mask = (mask << 1) | (type(r) is vreg)
-                for r in i.srcs:
+                for r in srcs:
                     mask = (mask << 1) | (type(r) is vreg)
-                parts.append((oid, mask, [r._hash for r in i.dsts],
-                              [r._hash for r in i.srcs], i.imm,
-                              i.labels, i.symbol, i.phi_labels))
+                extend((op_ids[i.opcode], mask, len(dsts), len(srcs)))
+                for r in dsts:
+                    append(r._hash)
+                for r in srcs:
+                    append(r._hash)
+                extend((i.imm, i.labels, i.symbol, i.phi_labels))
     return parts
 
 
 def program_fingerprint(program: Program) -> str:
     """Stable content digest over every execution-relevant IR field.
 
-    Unlike the predecode cache's in-process ``hash()`` fingerprint this
+    Unlike the decode cache's in-process ``hash()`` fingerprint this
     survives process (and ``PYTHONHASHSEED``) boundaries, so batch
-    composition is deterministic across worker processes.
+    composition is deterministic across worker processes.  The parts
+    are serialized with ``marshal`` format 2, which writes every value
+    by type and content (no object references, no interning flags, so
+    equal parts give equal bytes) at a fraction of ``repr``'s cost —
+    the difftest lattice fingerprints every compiled config.
     """
-    return hashlib.sha256(
-        repr(_encode(program)).encode("utf-8")).hexdigest()
+    return hashlib.sha256(marshal.dumps(_encode(program), 2)).hexdigest()
 
 
 def batch_key(program: Program, machine: MachineConfig) -> tuple:
@@ -294,128 +309,6 @@ class BatchedCaches:
         return None
 
 
-class _LiveCacheStream:
-    """Adapter driving one live :class:`DataCache` through the batched
-    accounting interface, so ``Simulator(engine="batch")`` mutates its
-    attached cache (state *and* stats) exactly like the scalar engines.
-    """
-
-    __slots__ = ("cache", "lat")
-
-    def __init__(self, cache: DataCache):
-        self.cache = cache
-        self.lat = [0]
-
-    def access(self, addr: int, is_store: bool) -> int:
-        self.lat[0] += self.cache.access(addr, is_store)
-        return 0
-
-    def member_stats(self, index: int) -> CacheStats:
-        return self.cache.stats
-
-
-# -- the batched run -----------------------------------------------------------
-
-
-class _NullStage:
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-
-_NULL_STAGE = _NullStage()
-
-
-def _staged(clock, name: str):
-    """``clock.stage(name)`` when a clock is attached (duck-typed to
-    avoid a machine→exec import), else a no-op context."""
-    return clock.stage(name) if clock is not None else _NULL_STAGE
-
-
-def _run_batched(sim: Simulator, entry: Optional[str], args: Sequence,
-                 machines: Sequence[MachineConfig],
-                 caches, info: Optional[dict] = None) -> List[RunResult]:
-    """One architectural pass over ``sim`` (the canonical-machine state
-    holder), fanned out into one :class:`RunResult` per member machine.
-
-    Any :class:`SimulationError` applies identically to every member —
-    architectural determinism is exactly what admitted them to the
-    batch.  On a trap ``sim``'s memory/globals hold the (shared)
-    post-trap state.  ``info``, if given, receives the CCM high-water
-    mark (``max_ccm``) even when the pass traps — the caller's
-    optimistic ``ccm_bytes`` validation needs it.
-    """
-    program = sim.program
-    entry = entry or program.entry_name
-    fn = program.functions[entry]
-    if len(args) != len(fn.params):
-        raise SimulationError(
-            f"{entry} expects {len(fn.params)} args, got {len(args)}")
-    canonical = sim.machine
-    eng = _prepare_engine(sim, canonical)
-    eng.cache = caches
-    eng.has_cache = caches is not None
-
-    dfn = decode_function(fn, canonical, eng.has_cache)
-    eng.decoded[entry] = dfn
-
-    counts: Optional[Dict] = {} if sim.profile else None
-    try:
-        value, n = _loop_fast(eng, dfn, args, sim.fuel,
-                              sim.poison_caller_saved, counts)
-    finally:
-        _writeback_phys(sim, eng)
-        if info is not None:
-            info["max_ccm"] = eng.max_ccm
-
-    plain_ops = eng.loads + eng.stores
-    ccm_ops = eng.ccm_loads + eng.ccm_stores
-    mem_ops = plain_ops + ccm_ops
-    results: List[RunResult] = []
-    for i, machine in enumerate(machines):
-        stats = RunStats()
-        stats.instructions = n
-        stats.loads = eng.loads
-        stats.stores = eng.stores
-        stats.spill_loads = eng.spill_loads
-        stats.spill_stores = eng.spill_stores
-        stats.ccm_loads = eng.ccm_loads
-        stats.ccm_stores = eng.ccm_stores
-        stats.calls = eng.calls
-        stats.max_ccm_offset = eng.max_ccm
-        cstats = caches.member_stats(i) if caches is not None else None
-        if cstats is not None:
-            main_cycles = caches.lat[i]
-            stats.cache = cstats
-        else:
-            main_cycles = plain_ops * machine.memory_latency
-        stats.memory_cycles = main_cycles + ccm_ops * machine.ccm_latency
-        stats.op_cycles = (n - mem_ops) * machine.default_latency
-        stats.cycles = stats.op_cycles + stats.memory_cycles
-        stats.block_counts = dict(counts) if counts is not None else None
-        results.append(RunResult(value, stats))
-    return results
-
-
-def run_batch_single(sim: Simulator, entry: Optional[str] = None,
-                     args: Sequence = ()) -> RunResult:
-    """``Simulator(engine="batch")`` hook: a batch of one.
-
-    Shares the simulator's persistent state (memory, CCM, physical
-    registers, attached cache) like the other engines; pipelined-load
-    machines fall back to the predecode engine (their stall scoreboard
-    serializes the pass anyway).
-    """
-    if sim.machine.pipelined_loads:
-        from .predecode import run_predecode
-        return run_predecode(sim, entry, args)
-    caches = (_LiveCacheStream(sim.cache)
-              if sim.cache is not None else None)
-    return _run_batched(sim, entry, args, [sim.machine], caches)[0]
-
-
 # -- the public batch API ------------------------------------------------------
 
 
@@ -485,12 +378,12 @@ class BatchSimulation:
         canonical = self.members[max(
             self._batched or [0],
             key=lambda i: self.members[i].machine.ccm_bytes)].machine
-        # the architectural state holder: one predecode-compatible
-        # Simulator on the canonical machine (globals layout, memory,
-        # CCM, physical file) shared by the whole batched pass
+        # the architectural state holder: one Simulator on the
+        # canonical machine (globals layout, memory, CCM, physical file)
+        # shared by the whole batched pass
         self._sim = Simulator(program, canonical, fuel=fuel,
                               poison_caller_saved=poison_caller_saved,
-                              profile=profile, engine="predecode")
+                              profile=profile)
         self._snapshot_sim = self._sim
 
     def globals_snapshot(self) -> Dict[str, tuple]:
@@ -517,6 +410,54 @@ class BatchSimulation:
             recorder.counter("sim.batch.splits")
         return BatchSplit(self._split_groups())
 
+    def _run_shared(self, entry: Optional[str], args: Sequence,
+                    recorder) -> List[RunResult]:
+        """The one architectural pass, fanned out into one
+        :class:`RunResult` per batched member.
+
+        Any :class:`SimulationError` applies identically to every
+        member — architectural determinism is exactly what admitted
+        them to the batch.  On a trap the shared simulator's memory and
+        globals hold the (shared) post-trap state."""
+        members = [self.members[i] for i in self._batched]
+        caches = None
+        if any(m.cache is not None for m in members):
+            caches = BatchedCaches([m.cache for m in members])
+        self._snapshot_sim = self._sim
+        try:
+            with _staged(self.clock, "execute.batch"):
+                value, n, _, counts, eng = drive(self._sim, entry, args,
+                                                 caches)
+        except SimulationError:
+            if self._mixed_ccm:
+                # smaller-limit members may have trapped earlier, and
+                # even a shared CCM trap renders each member's own
+                # limit in its message
+                raise self._split(recorder) from None
+            raise
+        if self._mixed_ccm:
+            # the pass ran under the largest limit; it serves a member
+            # iff its limit was never reached
+            limit_max = self._sim.machine.ccm_bytes
+            for m in members:
+                limit = m.machine.ccm_bytes
+                if limit != limit_max and eng.max_ccm >= limit:
+                    raise self._split(recorder)
+        plain_ops = eng.loads + eng.stores
+        ccm_ops = eng.ccm_loads + eng.ccm_stores
+        results = []
+        for i, m in enumerate(members):
+            machine = m.machine
+            cstats = caches.member_stats(i) if caches is not None else None
+            main_cycles = (caches.lat[i] if cstats is not None
+                           else plain_ops * machine.memory_latency)
+            stats = run_stats(
+                eng, n, 0, dict(counts) if counts is not None else None,
+                machine, main_cycles + ccm_ops * machine.ccm_latency)
+            stats.cache = cstats
+            results.append(RunResult(value, stats))
+        return results
+
     def run(self, entry: Optional[str] = None,
             args: Sequence = ()) -> List[RunResult]:
         recorder = _trace_current()
@@ -526,47 +467,11 @@ class BatchSimulation:
             recorder.counter("sim.batch.fallbacks", len(self._fallback))
         results: List[Optional[RunResult]] = [None] * len(self.members)
         if self._batched:
-            caches = None
-            if any(self.members[i].cache is not None
-                   for i in self._batched):
-                caches = BatchedCaches(
-                    [self.members[i].cache for i in self._batched])
-            self._snapshot_sim = self._sim
-            info: dict = {}
-            try:
-                with _staged(self.clock, "execute.batch"):
-                    shared = _run_batched(
-                        self._sim, entry, args,
-                        [self.members[i].machine for i in self._batched],
-                        caches, info)
-            except SimulationError:
-                if self._mixed_ccm:
-                    # smaller-limit members may have trapped earlier,
-                    # and even a shared CCM trap renders each member's
-                    # own limit in its message
-                    raise self._split(recorder) from None
-                raise
-            if self._mixed_ccm:
-                # the pass ran under the largest limit; it serves a
-                # member iff its limit was never reached
-                limit_max = self._sim.machine.ccm_bytes
-                watermark = info.get("max_ccm", -1)
-                for i in self._batched:
-                    limit = self.members[i].machine.ccm_bytes
-                    if limit != limit_max and watermark >= limit:
-                        raise self._split(recorder)
+            shared = self._run_shared(entry, args, recorder)
             for slot, result in zip(self._batched, shared):
                 results[slot] = result
-            if recorder is not None:
-                for result in shared:
-                    recorder.counter("sim.runs")
-                    stats = result.stats
-                    for name in ("cycles", "memory_cycles", "op_cycles",
-                                 "stall_cycles", "instructions", "loads",
-                                 "stores", "spill_loads", "spill_stores",
-                                 "ccm_loads", "ccm_stores", "calls"):
-                        recorder.counter(f"sim.{name}",
-                                         getattr(stats, name))
+                if recorder is not None:
+                    count_run(recorder, result.stats)
         for i in self._fallback:
             member = self.members[i]
             sim = Simulator(self.program, member.machine,
@@ -574,7 +479,7 @@ class BatchSimulation:
                                    if member.cache is not None else None),
                             fuel=self.fuel,
                             poison_caller_saved=self.poison_caller_saved,
-                            profile=self.profile, engine="predecode")
+                            profile=self.profile)
             self._snapshot_sim = sim
             try:
                 with _staged(self.clock, "execute.scalar"):
@@ -586,3 +491,9 @@ class BatchSimulation:
                     raise self._split(recorder) from None
                 raise
         return results  # type: ignore[return-value]
+
+
+def _staged(clock, name: str):
+    """``clock.stage(name)`` when a clock is attached (duck-typed to
+    avoid a machine→exec import), else a no-op context."""
+    return clock.stage(name) if clock is not None else nullcontext()

@@ -1,12 +1,12 @@
-"""Pre-decoding simulator engine: compile once, execute many.
+"""The simulator's execution driver: compile once, execute many.
 
-The reference interpreter (:meth:`Simulator._run_interp`) re-decodes
-every instruction on every dynamic execution: an ``if/elif`` chain over
-:class:`Opcode`, an ``isinstance(VirtualReg)`` test plus a dict lookup
-per operand access, and a ``fn.block(label)`` lookup per iteration.
-This engine hoists all of that into a one-time *decode* pass per
-function — the same "static pre-analysis makes the dynamic path cheap"
-move the paper applies to spill traffic:
+A plain interpreter re-decodes every instruction on every dynamic
+execution: an ``if/elif`` chain over :class:`Opcode`, an
+``isinstance(VirtualReg)`` test plus a dict lookup per operand access,
+and a ``fn.block(label)`` lookup per iteration.  This driver hoists all
+of that into a one-time *decode* pass per function — the same "static
+pre-analysis makes the dynamic path cheap" move the paper applies to
+spill traffic:
 
 * each :class:`~repro.ir.Instruction` becomes a specialized closure
   with its opcode dispatched once, operands resolved to integer slots
@@ -24,12 +24,18 @@ move the paper applies to spill traffic:
   identical code, so only ~40% of artifact instructions ever reach the
   closure compiler.
 
-Bit-identity with the interpreter is a hard contract: same return
-value, same :class:`RunStats` field for field — including
-``block_counts``, cache statistics, poison semantics, and the exact
-kind and message of every trap.  ``tests/test_sim_engine_fuzz.py``
-enforces it over the differential-testing corpus; select the reference
-oracle with ``REPRO_SIM_ENGINE=interp`` (or ``--sim-engine interp``).
+:func:`drive` is the one driver: :meth:`Simulator.run
+<repro.machine.simulator.Simulator.run>` calls it once per run, and
+:class:`~repro.machine.batch.BatchSimulation` once per group of
+timing-only machine variants; both build their :class:`RunStats` with
+:func:`run_stats`.
+
+Bit-identity with the reference interpreter kept in
+``tests/sim_oracle.py`` is a hard contract: same return value, same
+:class:`RunStats` field for field — including ``block_counts``, cache
+statistics, poison semantics, and the exact kind and message of every
+trap.  The simulator fuzz suites under ``tests/`` enforce it over the
+differential-testing corpus.
 
 Cycle accounting is lazy where the interpreter's is eager: plain
 closures do no accounting at all, because every non-memory instruction
@@ -50,11 +56,11 @@ from typing import Dict, List, Optional, Tuple
 
 from ..ir import Opcode, PhysReg, RegClass, VirtualReg
 from ..trace import current as _trace_current
-from .simulator import (POISON, STACK_BASE, OutOfFuel, RunResult, RunStats,
+from .simulator import (POISON, STACK_BASE, OutOfFuel, RunStats,
                         SimulationError, _FLOAT_BINOPS, _INT_BINOPS,
                         _INT_IMMOPS, fmt_addr)
 
-__all__ = ["decode_function", "run_predecode", "DecodedFunction"]
+__all__ = ["decode_function", "drive", "run_stats", "DecodedFunction"]
 
 
 class _Undef:
@@ -623,7 +629,7 @@ class _Decoder:
         arg_descs = tuple((*self.desc(s), s) for s in instr.srcs)
         ret_desc = self.desc(instr.dsts[0]) if instr.dsts else None
         # caller-saved registers to poison on return (baked: the keep
-        # set compares by register equality, exactly like the interp)
+        # set compares by register equality, exactly like the interpreter)
         keep = set(instr.dsts)
         poison_slots = tuple(
             slot for reg, slot in self.caller_saved_slots
@@ -856,20 +862,22 @@ class _Engine:
         return dfn
 
 
-def _prepare_engine(sim, machine) -> "_Engine":
+def _prepare_engine(sim, cache) -> "_Engine":
     """An :class:`_Engine` sharing ``sim``'s persistent machine state,
     with the simulator's dict-backed physical file materialized as a
-    flat list (+ overflow).  ``machine`` is the decode-time machine —
-    normally ``sim.machine``, but the batch engine substitutes the
-    batch's canonical machine."""
+    flat list (+ overflow).  ``cache`` is anything with the
+    :meth:`DataCache.access <repro.machine.cache.DataCache.access>`
+    signature: the simulator's own cache, or the batch's lockstep
+    caches."""
+    machine = sim.machine
     eng = _Engine()
     eng.program = sim.program
     eng.machine = machine
     eng.memory = sim.memory
     eng.ccm = sim.ccm
     eng.ccm_base = sim.ccm_base
-    eng.cache = sim.cache
-    eng.has_cache = sim.cache is not None
+    eng.cache = cache
+    eng.has_cache = cache is not None
     eng.global_base = sim.global_base
     eng.decoded = {}
     eng.depth = 0
@@ -905,14 +913,15 @@ def _writeback_phys(sim, eng: "_Engine") -> None:
                          else RegClass.INT)] = v
 
 
-def run_predecode(sim, entry: Optional[str] = None,
-                  args: List = ()) -> RunResult:
-    """Execute ``sim.program`` with the pre-decoding engine.
+def drive(sim, entry: Optional[str], args, cache):
+    """Execute ``sim.program`` from ``entry`` on ``sim.machine``.
 
     Mutates the simulator's persistent state (``memory``, ``ccm``,
-    ``phys``, cache statistics, the pipelined-load scoreboard) exactly
-    like the interpreter, so repeated and mixed runs observe the same
-    machine.
+    ``phys``, the pipelined-load scoreboard) exactly like the reference
+    interpreter, so repeated runs observe the same machine; memory
+    accesses go through ``cache`` (see :func:`_prepare_engine`).
+    Returns ``(value, instructions, stall_cycles, block_counts, eng)``;
+    ``eng`` carries the dynamic operation counts for :func:`run_stats`.
     """
     program = sim.program
     entry = entry or program.entry_name
@@ -921,49 +930,44 @@ def run_predecode(sim, entry: Optional[str] = None,
         raise SimulationError(
             f"{entry} expects {len(fn.params)} args, got {len(args)}")
     machine = sim.machine
-    eng = _prepare_engine(sim, machine)
-
+    eng = _prepare_engine(sim, cache)
     dfn = decode_function(fn, machine, eng.has_cache)
     eng.decoded[entry] = dfn
 
     counts: Optional[Dict] = {} if sim.profile else None
     fuel = sim.fuel
     poison = sim.poison_caller_saved
-
     try:
         if machine.pipelined_loads:
-            # the scoreboard persists across run() calls, like the interp's
-            ready = sim.__dict__.setdefault("_predecode_ready", {})
             value, n, stall = _loop_pipelined(
-                eng, dfn, args, fuel, poison, counts, ready,
+                eng, dfn, args, fuel, poison, counts, sim._ready_at,
                 machine.default_latency)
         else:
             value, n = _loop_fast(eng, dfn, args, fuel, poison, counts)
             stall = 0
     finally:
         _writeback_phys(sim, eng)
+    return value, n, stall, counts, eng
 
-    stats = RunStats()
-    stats.instructions = n
-    stats.loads = eng.loads
-    stats.stores = eng.stores
-    stats.spill_loads = eng.spill_loads
-    stats.spill_stores = eng.spill_stores
-    stats.ccm_loads = eng.ccm_loads
-    stats.ccm_stores = eng.ccm_stores
-    stats.calls = eng.calls
-    stats.memory_cycles = eng.memory_cycles
-    stats.stall_cycles = stall
-    # every non-memory instruction charges exactly default_latency to
-    # the op bucket, so the bucket is derivable after the fact
+
+def run_stats(eng: "_Engine", n: int, stall: int, counts: Optional[Dict],
+              machine, memory_cycles: int) -> RunStats:
+    """The :class:`RunStats` of one driven run under ``machine``.
+
+    Every non-memory instruction charges exactly ``default_latency`` to
+    the op bucket, so the bucket is derived after the fact; the caller
+    supplies the memory cycles (the driver's own tally, or one batch
+    member's fan-out)."""
     mem_ops = eng.loads + eng.stores + eng.ccm_loads + eng.ccm_stores
-    stats.op_cycles = (n - mem_ops) * machine.default_latency
-    stats.cycles = stats.op_cycles + stats.memory_cycles + stall
-    stats.max_ccm_offset = eng.max_ccm
-    stats.block_counts = counts
-    if sim.cache is not None:
-        stats.cache = sim.cache.stats
-    return RunResult(value, stats)
+    op_cycles = (n - mem_ops) * machine.default_latency
+    return RunStats(
+        cycles=op_cycles + memory_cycles + stall,
+        memory_cycles=memory_cycles, op_cycles=op_cycles,
+        instructions=n, loads=eng.loads, stores=eng.stores,
+        spill_stores=eng.spill_stores, spill_loads=eng.spill_loads,
+        ccm_stores=eng.ccm_stores, ccm_loads=eng.ccm_loads,
+        calls=eng.calls, stall_cycles=stall, max_ccm_offset=eng.max_ccm,
+        block_counts=counts)
 
 
 def _entry_frame(eng, dfn, args, counts):

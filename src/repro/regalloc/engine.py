@@ -1,10 +1,10 @@
-"""Register-allocator engine selection (the two-backend house pattern).
+"""Register-allocator engine selection.
 
-Mirrors :func:`repro.analysis.liveness.liveness_engine` and
-:func:`repro.machine.simulator.sim_engine`: one process-wide engine
-name, read once from the environment at import, overridable from code
-or the CLIs, and folded into the artifact-cache code version so results
-compiled under different allocators never alias.
+The two allocator backends are an experimental axis (they compile to
+different code), not a fast path and its oracle.  One process-wide
+engine name, read once from the environment at import, overridable from
+code or the CLIs, and folded into the artifact-cache code version so
+results compiled under different allocators never alias.
 
 Engines:
 

@@ -20,18 +20,17 @@ and appends pseudo nodes / clobbered physical registers as the walk
 discovers them, matching the node order the historical dict-of-sets
 representation produced (allocator tie-breaking, and therefore compiled
 artifacts, depend on that order).  The historical set-based builder is
-retained as the reference oracle and runs when the ``sets`` dataflow
-engine is selected (see :func:`repro.analysis.liveness.set_liveness_engine`).
+kept as the reference oracle in ``tests/liveness_oracle.py``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
-from ..analysis import (CFG, AnalysisManager, DenseIndex, compute_liveness,
+from ..analysis import (CFG, AnalysisManager, compute_liveness_masks,
                         iter_bits)
-from ..analysis.liveness import liveness_engine
-from ..ir import Function, Instruction, PhysReg, RegClass, VirtualReg
+from ..analysis.bitset import MaskSetView
+from ..ir import Function, PhysReg, RegClass
 from ..machine import MachineConfig
 
 
@@ -195,10 +194,16 @@ class InterferenceGraph:
                 adj[j] |= bit
 
 
+def _begin_hook(hook, fn, graph, manager):
+    """``hook`` if it takes part in this build, else None."""
+    if hook is None or hook.begin(fn, graph, manager) is False:
+        return None
+    return hook
+
+
 def build_interference_graph(fn: Function, machine: MachineConfig,
                              extra_node_hook=None,
-                             manager: Optional[AnalysisManager] = None,
-                             engine: Optional[str] = None
+                             manager: Optional[AnalysisManager] = None
                              ) -> InterferenceGraph:
     """Construct the interference graph for ``fn``.
 
@@ -209,42 +214,16 @@ def build_interference_graph(fn: Function, machine: MachineConfig,
     graph (paper section 3.2) without this module knowing about them.
     A ``begin`` that returns ``False`` has nothing to add to this graph,
     and the walk skips its ``visit`` calls.  ``live_after`` is a
-    :class:`~repro.analysis.bitset.MaskSetView` under the bitset engine
-    (its mask bits are graph ids) and a plain set under ``sets``.
+    :class:`~repro.analysis.bitset.MaskSetView` whose mask bits are
+    graph ids.
 
     ``manager`` supplies cached CFG/liveness; without one they are
-    computed locally.  ``engine`` overrides the process-wide liveness
-    engine ("bitset" or "sets" — the reference oracle) for this build.
+    computed locally.
     """
-    if (engine or liveness_engine()) == "sets":
-        return _build_sets(fn, machine, extra_node_hook, manager)
-    return _build_bitset(fn, machine, extra_node_hook, manager)
-
-
-def _begin_hook(hook, fn, graph, manager):
-    """``hook`` if it takes part in this build, else None."""
-    if hook is None or hook.begin(fn, graph, manager) is False:
-        return None
-    return hook
-
-
-def _build_bitset(fn: Function, machine: MachineConfig, extra_node_hook,
-                  manager: Optional[AnalysisManager]) -> InterferenceGraph:
-    from ..analysis.bitset import MaskSetView
-
     if manager is not None:
-        liveness = manager.liveness()
-        bits = liveness.bits
+        bits = manager.liveness().bits
     else:
-        cfg = CFG(fn)
-        bits = None
-    if bits is None:
-        # engine is bitset but the cached liveness predates it, or no
-        # manager: compute mask facts directly
-        index = DenseIndex(fn)
-        from ..analysis.bitset import compute_liveness_masks
-        bits = compute_liveness_masks(
-            fn, manager.cfg() if manager is not None else cfg, index)
+        bits = compute_liveness_masks(fn, CFG(fn))
     index = bits.index
     ids = index.ids
 
@@ -309,58 +288,6 @@ def _build_bitset(fn: Function, machine: MachineConfig, extra_node_hook,
                 for s in instr.srcs:
                     live |= 1 << ids[s]
     graph._symmetrize()
-    return graph
-
-
-def _build_sets(fn: Function, machine: MachineConfig, extra_node_hook,
-                manager: Optional[AnalysisManager]) -> InterferenceGraph:
-    """The reference oracle: the original set-walk builder, edge by edge."""
-    graph = InterferenceGraph()
-    if manager is not None:
-        cfg = manager.cfg()
-        liveness = manager.liveness()
-    else:
-        cfg = CFG(fn)
-        liveness = compute_liveness(fn, cfg)
-
-    for reg in fn.all_registers():
-        graph.add_node(reg)
-
-    entry_live = set(liveness.live_in[fn.entry.label]) | set(fn.params)
-    for a in fn.params:
-        for b in entry_live:
-            graph.add_edge(a, b)
-
-    caller_saved = {
-        RegClass.INT: machine.caller_saved(RegClass.INT),
-        RegClass.FLOAT: machine.caller_saved(RegClass.FLOAT),
-    }
-
-    extra_node_hook = _begin_hook(extra_node_hook, fn, graph, manager)
-
-    for block in fn.blocks:
-        for _, instr, live_after in liveness.live_across_instructions(block.label):
-            if instr.is_move:
-                src = instr.srcs[0]
-                graph.add_move(instr.dsts[0], src)
-                for live in live_after:
-                    if live != src:
-                        graph.add_edge(instr.dsts[0], live)
-            else:
-                for dst in instr.dsts:
-                    for live in live_after:
-                        graph.add_edge(dst, live)
-                    for other in instr.dsts:
-                        graph.add_edge(dst, other)
-            if instr.is_call:
-                for rclass, regs in caller_saved.items():
-                    for phys in regs:
-                        graph.add_node(phys)
-                        for live in live_after:
-                            if live not in instr.dsts:
-                                graph.add_edge(phys, live)
-            if extra_node_hook is not None:
-                extra_node_hook.visit(block.label, instr, live_after, graph)
     return graph
 
 

@@ -1,0 +1,91 @@
+"""Per-config scalar runners: the oracle for the batched sweep paths.
+
+The difftest runner and the section 4.3 ablation simulate a whole
+group of configurations per shared pass
+(:class:`~repro.machine.BatchSimulation`).  These are the plain loops
+they replace: compile one configuration, run one
+:class:`~repro.machine.Simulator`, judge or record it, next.
+``test_batched_runners`` holds the shipped runners equal to them.
+"""
+
+from __future__ import annotations
+
+from typing import Dict, List, Optional, Sequence
+
+from repro.difftest.runner import (DiffConfig, Divergence, SeedResult,
+                                   _execute, _judge,
+                                   _machine_error_divergence, _StageCache,
+                                   config_lattice, finalize_config)
+from repro.frontend import compile_source
+from repro.harness.ablation import CONFIGS, AblationCell
+from repro.harness.experiment import compile_program
+from repro.ir import verify_program
+from repro.machine import DataCache, MachineConfig, SimulationError, Simulator
+from repro.workloads.suite import build_routine
+
+__all__ = ["check_source_scalar", "ablation_cells_scalar"]
+
+
+def check_source_scalar(source: str,
+                        configs: Optional[Sequence[DiffConfig]] = None,
+                        seed: Optional[int] = None,
+                        fault=None) -> SeedResult:
+    """:func:`repro.difftest.check_source` as one simulation per config
+    (no artifact cache, no clock)."""
+    configs = list(configs) if configs is not None else config_lattice()
+    result = SeedResult(seed, n_configs=len(configs))
+    try:
+        base = compile_source(source)
+        verify_program(base)
+    except Exception as exc:
+        result.skipped = f"reference failed to compile: {exc}"
+        return result
+    try:
+        reference = _execute(base, MachineConfig(), poison=False)
+    except SimulationError as exc:
+        result.skipped = f"reference machine error: {exc}"
+        return result
+    stages = _StageCache(base, configs)
+    baseline_spill: Dict[tuple, int] = {}
+    for config in configs:
+        try:
+            program, machine = finalize_config(stages, config)
+        except Exception as exc:
+            divergence = Divergence(None, config.name, "compile_error",
+                                    f"{type(exc).__name__}: {exc}")
+        else:
+            if fault is not None:
+                fault(program)
+            try:
+                outcome = _execute(program, machine, poison=True)
+            except SimulationError as exc:
+                divergence = _machine_error_divergence(config, exc,
+                                                       reference)
+            else:
+                divergence = _judge(config, outcome, reference,
+                                    baseline_spill, fault)
+        if divergence is not None:
+            divergence.seed = seed
+            divergence.source = source
+            result.divergences.append(divergence)
+    return result
+
+
+def ablation_cells_scalar(routines: Sequence[str],
+                          machine: Optional[MachineConfig] = None
+                          ) -> List[AblationCell]:
+    """:func:`repro.harness.ablation.run_ablation`'s cells, one
+    :class:`Simulator` + :class:`DataCache` run per cell."""
+    machine = machine or MachineConfig(ccm_bytes=1024)
+    cells = []
+    for routine in routines:
+        for name, (variant, cache_config) in CONFIGS.items():
+            prog = build_routine(routine)
+            compile_program(prog, machine, variant)
+            cache = DataCache(cache_config)
+            run = Simulator(prog, machine, cache=cache,
+                            poison_caller_saved=True).run()
+            cells.append(AblationCell(
+                routine, name, run.stats.cycles, run.stats.memory_cycles,
+                cache.stats.hit_rate, cache.stats.effective_hit_rate))
+    return cells

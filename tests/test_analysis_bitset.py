@@ -1,17 +1,17 @@
 """Units for the dense bitset dataflow layer and the analysis cache.
 
-The bitset engine (``repro.analysis.bitset``) is the default liveness/
-interference backend; the set-based code remains as a reference oracle
-(``REPRO_LIVENESS_ENGINE=sets``).  These tests pin the primitives the
-engine is built from and the manager's caching contract; the end-to-end
+The bitset engine (``repro.analysis.bitset``) is the liveness/
+interference backend; the set-based code is kept as a reference oracle
+in ``liveness_oracle.py``.  These tests pin the primitives the engine
+is built from and the manager's caching contract; the end-to-end
 bitset-vs-oracle equivalence lives in ``test_bitset_oracle_fuzz.py``.
 """
 
-import pytest
+from liveness_oracle import compute_liveness_sets
 
 from repro.analysis import (CFG, AnalysisManager, DenseIndex,
                             compute_liveness, compute_liveness_masks,
-                            iter_bits, liveness_engine, set_liveness_engine)
+                            iter_bits)
 from repro.analysis.bitset import MaskSetView
 from repro.ir import RegClass, VirtualReg, parse_function
 from repro.trace import TraceRecorder, recording
@@ -100,7 +100,7 @@ class TestBitLivenessMasks:
         fn = parse_function(DIAMOND)
         cfg = CFG(fn)
         bits = compute_liveness_masks(fn, cfg)
-        oracle = compute_liveness(fn, cfg, engine="sets")
+        oracle = compute_liveness_sets(fn, cfg)
         for block in fn.blocks:
             label = block.label
             assert bits.index.set_of(bits.live_in[label]) \
@@ -119,27 +119,19 @@ class TestBitLivenessMasks:
 
 
 class TestEngineSelection:
+    """One engine: the public API is the bitset engine, and it agrees
+    with the set oracle."""
+
     def test_default_is_bitset(self):
-        assert liveness_engine() in ("bitset", "sets")
-
-    def test_set_engine_roundtrip(self):
-        old = liveness_engine()
-        try:
-            set_liveness_engine("sets")
-            assert liveness_engine() == "sets"
-            set_liveness_engine("bitset")
-            assert liveness_engine() == "bitset"
-        finally:
-            set_liveness_engine(old)
-
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError):
-            set_liveness_engine("quantum")
+        info = compute_liveness(parse_function(DIAMOND))
+        assert info.bits is not None
+        assert set(info.live_in["entry"]) == info.bits.index.set_of(
+            info.bits.live_in["entry"])
 
     def test_both_engines_agree_via_public_api(self):
         fn = parse_function(DIAMOND)
-        a = compute_liveness(fn, engine="bitset")
-        b = compute_liveness(fn, engine="sets")
+        a = compute_liveness(fn)
+        b = compute_liveness_sets(fn)
         for block in fn.blocks:
             assert set(a.live_in[block.label]) == set(b.live_in[block.label])
             assert set(a.live_out[block.label]) == set(b.live_out[block.label])

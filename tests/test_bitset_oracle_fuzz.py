@@ -1,7 +1,8 @@
 """Bitset engine vs. set oracle: equivalence over the fuzz corpus.
 
 The dense bitset dataflow engine (``repro.analysis.bitset``) and the
-legacy set-based code compute the same facts by construction; these
+set-based oracle in ``liveness_oracle.py`` compute the same facts by
+construction; these
 property tests pin that claim against the differential-testing
 generator's program distribution:
 
@@ -21,7 +22,10 @@ import sys
 
 import pytest
 
-from repro.analysis import CFG, compute_liveness, compute_liveness_masks
+from liveness_oracle import build_interference_graph_sets, \
+    compute_liveness_sets
+
+from repro.analysis import CFG, compute_liveness_masks
 from repro.difftest.gen import generate_source
 from repro.frontend import compile_source
 from repro.difftest.runner import GEOMETRIES
@@ -47,7 +51,7 @@ def _functions_for_seed(seed: int):
 def _assert_liveness_agrees(fn) -> None:
     cfg = CFG(fn)
     bits = compute_liveness_masks(fn, cfg)
-    oracle = compute_liveness(fn, cfg, engine="sets")
+    oracle = compute_liveness_sets(fn, cfg)
     for block in fn.blocks:
         label = block.label
         assert bits.index.set_of(bits.live_in[label]) \
@@ -65,8 +69,8 @@ def _graph_shape(graph):
 
 
 def _assert_interference_agrees(fn) -> None:
-    bit_graph = build_interference_graph(fn, SMALL_MACHINE, engine="bitset")
-    set_graph = build_interference_graph(fn, SMALL_MACHINE, engine="sets")
+    bit_graph = build_interference_graph(fn, SMALL_MACHINE)
+    set_graph = build_interference_graph_sets(fn, SMALL_MACHINE)
     bit_nodes, bit_adj, bit_moves = _graph_shape(bit_graph)
     set_nodes, set_adj, set_moves = _graph_shape(set_graph)
     assert bit_nodes == set_nodes, f"{fn.name}: node sets differ"

@@ -3,6 +3,8 @@ as pseudo-nodes with the liveness-derived edges of section 3.2."""
 
 import pytest
 
+from liveness_oracle import build_interference_graph_sets
+
 from repro.ccm import CcmGraphHook, CcmLocation
 from repro.ir import RegClass, VirtualReg, parse_function
 from repro.machine import PAPER_MACHINE_512
@@ -240,12 +242,11 @@ def _as_stack(text):
 
 
 @pytest.fixture(params=("bitset", "sets"))
-def engine(request):
-    from repro.analysis.liveness import liveness_engine, set_liveness_engine
-    previous = liveness_engine()
-    set_liveness_engine(request.param)
-    yield request.param
-    set_liveness_engine(previous)
+def build(request):
+    """The shipped interference builder, or the set-based oracle."""
+    if request.param == "sets":
+        return build_interference_graph_sets
+    return build_interference_graph
 
 
 class TestSpillSlotHook:
@@ -253,7 +254,7 @@ class TestSpillSlotHook:
     size): one tracked slot per CCM-placed value."""
 
     @pytest.mark.parametrize("case", range(len(TWIN_CASES)))
-    def test_same_edges_as_ccm_hook(self, engine, case):
+    def test_same_edges_as_ccm_hook(self, build, case):
         from repro.ccm import SpillSlotHook
         from repro.ccm.integrated import SpillSlot
 
@@ -264,7 +265,7 @@ class TestSpillSlotHook:
         for loc in [n for n in ccm_graph.nodes()
                     if isinstance(n, CcmLocation)]:
             hook.track(loc.offset, owner=f"owner{loc.offset}")
-        slot_graph = build_interference_graph(fn, PAPER_MACHINE_512, hook)
+        slot_graph = build(fn, PAPER_MACHINE_512, hook)
         for node in ccm_graph.nodes():
             if isinstance(node, PseudoNode):
                 continue
@@ -276,12 +277,12 @@ class TestSpillSlotHook:
             assert {f"owner{o}" for o in actual} == set(
                 hook.owners_adjacent(node, slot_graph))
 
-    def test_untracked_slots_add_nothing(self, engine):
+    def test_untracked_slots_add_nothing(self, build):
         from repro.ccm import SpillSlotHook
 
         fn = parse_function(_as_stack(TWIN_CASES[0]))
         hook = SpillSlotHook()
-        graph = build_interference_graph(fn, PAPER_MACHINE_512, hook)
+        graph = build(fn, PAPER_MACHINE_512, hook)
         assert graph.pseudo_mask == 0
         assert not any(isinstance(n, PseudoNode) for n in graph.nodes())
 
@@ -289,7 +290,7 @@ class TestSpillSlotHook:
 class TestHookProtocol:
     TEXT = TWIN_CASES[0]
 
-    def test_type_error_inside_begin_propagates(self, engine):
+    def test_type_error_inside_begin_propagates(self, build):
         """A hook's own TypeError is a bug to surface, not a signal to
         retry with another signature."""
         class Broken:
@@ -305,11 +306,11 @@ class TestHookProtocol:
 
         hook = Broken()
         with pytest.raises(TypeError, match="broken hook"):
-            build_interference_graph(parse_function(self.TEXT),
+            build(parse_function(self.TEXT),
                                      PAPER_MACHINE_512, hook)
         assert hook.begins == 1
 
-    def test_begin_false_skips_visits(self, engine):
+    def test_begin_false_skips_visits(self, build):
         class Idle:
             visits = 0
 
@@ -320,6 +321,6 @@ class TestHookProtocol:
                 self.visits += 1
 
         hook = Idle()
-        build_interference_graph(parse_function(self.TEXT),
+        build(parse_function(self.TEXT),
                                  PAPER_MACHINE_512, hook)
         assert hook.visits == 0

@@ -8,7 +8,8 @@ bit-identical to the per-size oracle kept in ``ccm_oracle.py``:
 ``format_program``, every ``frame_size`` and every
 :class:`AllocationResult` field, through the provider, the one-size
 entry point :func:`allocate_function_integrated` and the difftest
-stage cache — under both liveness engines.
+stage cache — under both the shipped interference builder and the
+set-based oracle builder of ``liveness_oracle.py``.
 """
 
 from dataclasses import replace
@@ -16,8 +17,8 @@ from dataclasses import replace
 import pytest
 
 from ccm_oracle import allocate_integrated_oracle
+from liveness_oracle import use_set_builder
 
-from repro.analysis.liveness import liveness_engine, set_liveness_engine
 from repro.ccm import (CcmPlacementProvider, allocate_function_integrated,
                        compact_spill_memory)
 from repro.difftest import generate_source
@@ -40,11 +41,11 @@ SUITE_SIZES = (512, 1024)
 
 
 @pytest.fixture(params=("bitset", "sets"))
-def engine(request):
-    previous = liveness_engine()
-    set_liveness_engine(request.param)
-    yield request.param
-    set_liveness_engine(previous)
+def engine(request, monkeypatch):
+    """Allocate on the shipped builder, or on the set-based oracle."""
+    if request.param == "sets":
+        use_set_builder(monkeypatch)
+    return request.param
 
 
 def _lowered(source, machine, optimize=True):

@@ -91,3 +91,21 @@ class TestHarnessCli:
     def test_bad_target_rejected(self):
         with pytest.raises(SystemExit):
             harness_main(["table9"])
+
+
+class TestRangeChecks:
+    """Out-of-range arguments end in an argparse usage error that names
+    the argument, never a traceback or a silently empty run."""
+
+    @pytest.mark.parametrize("argv, argument", [
+        (["difftest", "--seeds", "-3"], "--seeds"),
+        (["difftest", "--ccm=-64"], "--ccm"),
+        (["table2", "--ccm", "-512"], "--ccm"),
+        (["table2", "--routines", "nosuch"], "--routines"),
+        (["--whole-program", "--routines", "0"], "--routines"),
+    ])
+    def test_usage_error_names_argument(self, argv, argument, capsys):
+        with pytest.raises(SystemExit) as info:
+            harness_main(argv)
+        assert info.value.code == 2
+        assert f"argument {argument}" in capsys.readouterr().err

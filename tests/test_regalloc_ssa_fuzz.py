@@ -26,6 +26,8 @@ import sys
 
 import pytest
 
+from sim_oracle import simulator
+
 from repro.difftest.gen import generate_source
 from repro.difftest.runner import FUEL, DiffConfig, compile_config
 from repro.frontend import compile_source
@@ -90,8 +92,8 @@ def _check_seed(seed: int) -> int:
 
 def _check_oracle_seed(seed: int) -> None:
     """RunResults of the SSA-allocated (remat-enabled) program must be
-    bit-identical between the predecode engine and the reference
-    interpreter — value, full RunStats, and final globals."""
+    bit-identical between the simulator and the reference interpreter
+    of ``sim_oracle.py`` — value, full RunStats, and final globals."""
     source = generate_source(seed)
     for config in CONFIGS:
         for allocator in ("ssa", "ssa-everywhere"):
@@ -99,9 +101,8 @@ def _check_oracle_seed(seed: int) -> None:
             program, machine = compile_config(compile_source(source), cfg)
             results = {}
             for engine in ("interp", "predecode"):
-                sim = Simulator(program, machine, fuel=FUEL,
-                                poison_caller_saved=True, profile=True,
-                                engine=engine)
+                sim = simulator(engine, program, machine, fuel=FUEL,
+                                poison_caller_saved=True, profile=True)
                 try:
                     run = sim.run()
                     results[engine] = ("value", run.value,

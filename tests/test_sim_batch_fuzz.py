@@ -1,11 +1,11 @@
-"""Batch engine vs predecode vs interpreter: bit-identity over the fuzz corpus.
+"""Batch vs scalar vs interpreter: bit-identity over the fuzz corpus.
 
-The batched engine (``repro.machine.batch``) promises that every member
+Batched simulation (``repro.machine.batch``) promises that every member
 of a :class:`BatchSimulation` receives a :class:`RunResult` —
 ``value``, every ``RunStats`` field including the full
 :class:`CacheStats`, and the final global-array contents —
-bit-identical to a scalar run of that member under the predecode engine
-(itself pinned against the reference interpreter).  These tests enforce
+bit-identical to a scalar :class:`Simulator` run of that member (itself
+pinned against the reference interpreter in ``sim_oracle.py``).  These tests enforce
 the three-way contract against the differential-testing generator's
 program distribution:
 
@@ -23,9 +23,9 @@ program distribution:
 A small seed range runs in tier 1; the ≥200-seed sweep carries the
 ``fuzz`` marker (deselected by default, run with ``-m fuzz``).  A
 cross-process test pins batch *grouping* and batched results against
-hostile ``PYTHONHASHSEED`` values: ``batch_key`` hashes program text
-with sha256 precisely so that worker processes agree on batch
-composition, unlike the predecode decode-cache's in-process ``hash()``
+hostile ``PYTHONHASHSEED`` values: ``batch_key`` hashes the program's
+content with sha256 precisely so that worker processes agree on batch
+composition, unlike the decode cache's in-process ``hash()``
 fingerprint.
 """
 
@@ -37,12 +37,13 @@ import sys
 
 import pytest
 
+from sim_oracle import simulator
+
 from repro.difftest.gen import generate_source
 from repro.difftest.runner import FUEL, DiffConfig, compile_config
 from repro.frontend import compile_source
 from repro.machine import (BatchMember, BatchSimulation, BatchSplit,
-                           CacheConfig, DataCache, SimulationError,
-                           Simulator)
+                           CacheConfig, DataCache, SimulationError)
 
 SMOKE_SEEDS = range(0, 10)
 FUZZ_SEEDS = range(0, 220)
@@ -92,8 +93,8 @@ def _members_for(program, machine):
 
 def _observe_scalar(program, member, engine):
     """Everything observable about one scalar run, as comparable data."""
-    sim = Simulator(program, member.machine, fuel=FUEL,
-                    poison_caller_saved=True, profile=True, engine=engine,
+    sim = simulator(engine, program, member.machine, fuel=FUEL,
+                    poison_caller_saved=True, profile=True,
                     cache=(DataCache(member.cache)
                            if member.cache is not None else None))
     try:
@@ -141,10 +142,10 @@ def _check_seed(seed: int, rng: random.Random) -> int:
     for config in CONFIGS:
         program, machine = compile_config(compile_source(source), config)
         members = _members_for(program, machine)
-        scalar = [_observe_scalar(program, m, "predecode") for m in members]
+        scalar = [_observe_scalar(program, m, "scalar") for m in members]
         interp = [_observe_scalar(program, m, "interp") for m in members]
         assert scalar == interp, (
-            f"seed {seed} config {config.name}: predecode != interp")
+            f"seed {seed} config {config.name}: scalar != interp")
         for size in BATCH_SIZES:
             order = list(range(len(members)))
             if size is None:
@@ -252,6 +253,6 @@ class TestCrossProcessDeterminism:
         # batch composition is part of the execution plan: if grouping
         # (or any batched result) depended on PYTHONHASHSEED, parallel
         # sweep workers would build different batches than the serial
-        # path — batch_key uses a sha256 text fingerprint so the whole
+        # path — batch_key uses a sha256 content fingerprint so the whole
         # plan and its results are hash-seed independent
         assert _result_digest("1") == _result_digest("31337")

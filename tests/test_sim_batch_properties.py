@@ -1,11 +1,11 @@
 """Algebraic properties of the batched simulation engine.
 
-Where ``test_sim_batch_fuzz.py`` pins the batch engine against the
-scalar engines over the generator's program distribution, these tests
-pin the *structural* contracts directly:
+Where ``test_sim_batch_fuzz.py`` pins batched simulation against
+scalar runs over the generator's program distribution, these tests pin
+the *structural* contracts directly:
 
-* a batch of one is the scalar predecode run, ``RunResult`` for
-  ``RunResult``;
+* a batch of one is the scalar :class:`Simulator` run, ``RunResult``
+  for ``RunResult``;
 * per-member results are invariant under batch-membership permutation;
 * ``cycles == op_cycles + memory_cycles + stall_cycles`` holds for
   every member (the accounting fan-out cannot double-count or drop);
@@ -65,7 +65,7 @@ def compiled():
 
 def _run_scalar(program, member):
     sim = Simulator(program, member.machine, fuel=FUEL,
-                    poison_caller_saved=True, engine="predecode",
+                    poison_caller_saved=True,
                     cache=(DataCache(member.cache)
                            if member.cache is not None else None))
     return sim.run(), sim.globals_snapshot()
@@ -213,7 +213,7 @@ class TestArchSignatureGate:
 
         def scalar_observe(member):
             sim = Simulator(program, member.machine, fuel=FUEL,
-                            poison_caller_saved=True, engine="predecode")
+                            poison_caller_saved=True)
             try:
                 return ("value", sim.run(), sim.globals_snapshot())
             except SimulationError as exc:
@@ -317,20 +317,3 @@ def test_accounting_and_permutation_over_corpus():
                                    fuel=FUEL, poison_caller_saved=True).run()
         for slot, i in enumerate(order):
             assert shuffled[slot] == baseline[i]
-
-
-class TestLiveCacheEngine:
-    def test_simulator_batch_engine_mutates_attached_cache(self, compiled):
-        # Simulator(engine="batch") must leave its persistent state —
-        # attached DataCache contents *and* stats — exactly where the
-        # predecode engine would, including across repeated runs
-        program, machine = compiled[0]
-        cfg = CACHE_GEOMETRIES[1]
-        twins = {}
-        for engine in ("predecode", "batch"):
-            cache = DataCache(cfg)
-            sim = Simulator(program, machine, cache=cache, fuel=FUEL,
-                            poison_caller_saved=True, engine=engine)
-            runs = [sim.run(), sim.run()]
-            twins[engine] = (runs, cache.stats, sim.globals_snapshot())
-        assert twins["batch"] == twins["predecode"]

@@ -1,7 +1,7 @@
-"""Predecode engine vs. reference interpreter: equivalence over the fuzz corpus.
+"""Simulator vs. reference interpreter: equivalence over the fuzz corpus.
 
-The pre-decoding simulator engine (``repro.machine.predecode``) and the
-reference interpreter (``Simulator._run_interp``) must be
+The closure-compiled simulator driver (``repro.machine.predecode``) and
+the reference interpreter (``InterpSimulator`` in ``sim_oracle.py``) must be
 observationally indistinguishable — same return value, same
 :class:`RunStats` field for field (``block_counts``, cache statistics,
 stall accounting), same final global-array contents, and the same
@@ -18,7 +18,7 @@ unoptimized control flow.
 
 A small seed range runs in tier 1; the ≥200-seed sweep carries the
 ``fuzz`` marker (deselected by default, run with ``-m fuzz``).  A
-cross-process test pins the predecode engine's results against hostile
+cross-process test pins the simulator's results against hostile
 ``PYTHONHASHSEED`` values, exactly like the dense-numbering test in
 ``test_bitset_oracle_fuzz.py``.
 """
@@ -30,10 +30,12 @@ import sys
 
 import pytest
 
+from sim_oracle import simulator
+
 from repro.difftest.gen import generate_source
 from repro.difftest.runner import FUEL, DiffConfig, compile_config
 from repro.frontend import compile_source
-from repro.machine import CacheConfig, DataCache, SimulationError, Simulator
+from repro.machine import CacheConfig, DataCache, SimulationError
 
 SMOKE_SEEDS = range(0, 10)
 FUZZ_SEEDS = range(0, 220)
@@ -53,8 +55,8 @@ CONFIGS = (
 
 def _observe(program, machine, engine: str, use_cache: bool):
     """Everything observable about one execution, as comparable data."""
-    sim = Simulator(program, machine, fuel=FUEL, poison_caller_saved=True,
-                    profile=True, engine=engine,
+    sim = simulator(engine, program, machine, fuel=FUEL,
+                    poison_caller_saved=True, profile=True,
                     cache=DataCache(CacheConfig()) if use_cache else None)
     try:
         run = sim.run()
@@ -66,7 +68,8 @@ def _observe(program, machine, engine: str, use_cache: bool):
 
 
 def _check_seed(seed: int) -> int:
-    """Compare both engines on one seed; count trapping executions."""
+    """Compare simulator and oracle on one seed; count trapping
+    executions."""
     traps = 0
     source = generate_source(seed)
     for config in CONFIGS:
@@ -115,7 +118,7 @@ for seed in range(8):
     program, machine = compile_config(
         compile_source(generate_source(seed)), config)
     sim = Simulator(program, machine, fuel=FUEL, poison_caller_saved=True,
-                    profile=True, engine="predecode")
+                    profile=True)
     try:
         run = sim.run()
         obs = ("value", run.value, sorted(run.stats.block_counts.items()),

@@ -1,6 +1,7 @@
-"""Pre-decoding simulator engine: semantics pinned against the interpreter.
+"""The simulator's closure-compiled driver, pinned against the interpreter.
 
-Every test runs the same program under both engines and asserts the
+Every test runs the same program under the shipped simulator and the
+reference interpreter (``sim_oracle.py``) and asserts the
 observable behaviour — return value, every ``RunStats`` field, globals,
 architectural register file, exception type/kind/message — is
 bit-identical.  The broad randomized sweep lives in
@@ -13,14 +14,14 @@ from __future__ import annotations
 
 import pytest
 
-from repro.exec import ArtifactCache
 from repro.ir import PhysReg, RegClass, parse_program
 from repro.machine import (CacheConfig, DataCache, MachineConfig, OutOfFuel,
-                           SimulationError, Simulator, set_sim_engine,
-                           sim_engine)
+                           SimulationError, Simulator)
 from repro.machine import predecode
 from repro.machine.predecode import decode_function
 from repro.trace import TraceRecorder, recording
+
+from sim_oracle import simulator
 
 ENGINES = ("interp", "predecode")
 
@@ -40,9 +41,10 @@ def run_both(text, machine=None, entry=None, args=(), cache=False, **kwargs):
     """Run under both engines, assert identical results, return them."""
     outcomes = []
     for engine in ENGINES:
-        sim = Simulator(parse_program(text), machine or MachineConfig(),
+        sim = simulator(engine, parse_program(text),
+                        machine or MachineConfig(),
                         cache=DataCache(CacheConfig()) if cache else None,
-                        engine=engine, **kwargs)
+                        **kwargs)
         result = sim.run(entry=entry, args=list(args))
         outcomes.append((sim, result))
     (interp_sim, interp), (pre_sim, pre) = outcomes
@@ -57,8 +59,8 @@ def error_both(text, machine=None, entry=None, args=(), **kwargs):
     """Assert both engines raise the same error; return the exception."""
     errors = []
     for engine in ENGINES:
-        sim = Simulator(parse_program(text), machine or MachineConfig(),
-                        engine=engine, **kwargs)
+        sim = simulator(engine, parse_program(text),
+                        machine or MachineConfig(), **kwargs)
         with pytest.raises(SimulationError) as info:
             sim.run(entry=entry, args=list(args))
         errors.append(info.value)
@@ -146,7 +148,7 @@ entry:
 """
         errors = []
         for engine in ENGINES:
-            sim = Simulator(parse_program(text), engine=engine, fuel=10)
+            sim = simulator(engine, parse_program(text), fuel=10)
             with pytest.raises(OutOfFuel) as info:
                 sim.run()
             errors.append(info.value)
@@ -206,7 +208,7 @@ entry:
 """
         errors = []
         for engine in ENGINES:
-            sim = Simulator(parse_program(text), engine=engine, fuel=500)
+            sim = simulator(engine, parse_program(text), fuel=500)
             with pytest.raises(OutOfFuel) as info:
                 sim.run()
             errors.append(info.value)
@@ -397,8 +399,7 @@ entry:
         # load still in flight at the end of run 1 can stall run 2
         stats = {}
         for engine in ENGINES:
-            sim = Simulator(parse_program(self.LOAD_USE), PIPELINED,
-                            engine=engine)
+            sim = simulator(engine, parse_program(self.LOAD_USE), PIPELINED)
             first = sim.run()
             second = sim.run()
             stats[engine] = (first.stats, second.stats)
@@ -449,7 +450,7 @@ class TestBlockProfiling:
     def test_block_counts_pinned_multiblock_multicall(self):
         results = {}
         for engine in ENGINES:
-            sim = Simulator(parse_program(MULTI_BLOCK_CALLS), engine=engine,
+            sim = simulator(engine, parse_program(MULTI_BLOCK_CALLS),
                             profile=True)
             results[engine] = sim.run()
         expected = {
@@ -471,10 +472,9 @@ class TestBlockProfiling:
         assert pre.stats.block_counts is None
 
     def test_profile_does_not_change_cycles(self):
-        plain = Simulator(parse_program(MULTI_BLOCK_CALLS),
-                          engine="predecode").run()
+        plain = Simulator(parse_program(MULTI_BLOCK_CALLS)).run()
         profiled = Simulator(parse_program(MULTI_BLOCK_CALLS),
-                             engine="predecode", profile=True).run()
+                             profile=True).run()
         assert plain.stats.cycles == profiled.stats.cycles
         assert plain.stats.instructions == profiled.stats.instructions
 
@@ -511,7 +511,7 @@ entry:
 .endfunc
 """
         for engine in ENGINES:
-            sim = Simulator(parse_program(text), engine=engine)
+            sim = simulator(engine, parse_program(text))
             assert sim.run().value == 2
             assert sim.run().value == 3
 
@@ -525,7 +525,7 @@ entry:
 .endfunc
 """
         for engine in ENGINES:
-            sim = Simulator(parse_program(text), engine=engine)
+            sim = simulator(engine, parse_program(text))
             sim.run()
             assert sim.phys[PhysReg(5, RegClass.INT)] == 7
 
@@ -533,7 +533,7 @@ entry:
         # optimization passes mutate Instructions in place (e.g. the
         # postpass retargets LOAD to CCMLD); a rerun must re-decode
         prog = parse_program(TRIVIAL)
-        sim = Simulator(prog, engine="predecode")
+        sim = Simulator(prog)
         assert sim.run().value == 1
         instr = prog.functions["main"].entry.instructions[0]
         instr.imm = 42
@@ -548,43 +548,10 @@ entry:
         prog = parse_program(TRIVIAL)
         recorder = TraceRecorder()
         with recording(recorder):
-            Simulator(prog, engine="predecode").run()
-            Simulator(prog, engine="predecode").run()
+            Simulator(prog).run()
+            Simulator(prog).run()
         assert recorder.counters.get("sim.decode.functions", 0) >= 1
         assert recorder.counters.get("sim.decode.reused", 0) >= 1
-
-
-class TestEngineSelection:
-    def test_default_engine_matches_module_default(self):
-        assert Simulator(parse_program(TRIVIAL)).engine == sim_engine()
-
-    def test_set_sim_engine_rejects_unknown(self):
-        with pytest.raises(ValueError, match="unknown simulator engine"):
-            set_sim_engine("bogus")
-
-    def test_constructor_rejects_unknown(self):
-        with pytest.raises(ValueError, match="unknown simulator engine"):
-            Simulator(parse_program(TRIVIAL), engine="bogus")
-
-    def test_set_sim_engine_changes_default(self):
-        previous = sim_engine()
-        try:
-            set_sim_engine("interp")
-            assert Simulator(parse_program(TRIVIAL)).engine == "interp"
-        finally:
-            set_sim_engine(previous)
-
-    def test_artifact_cache_keyed_by_engine(self, tmp_path):
-        previous = sim_engine()
-        try:
-            set_sim_engine("predecode")
-            default_version = ArtifactCache(str(tmp_path)).version
-            assert "+sim-" not in default_version
-            set_sim_engine("interp")
-            oracle_version = ArtifactCache(str(tmp_path)).version
-            assert oracle_version == default_version + "+sim-interp"
-        finally:
-            set_sim_engine(previous)
 
 
 class TestDecodedFunctionShape:
@@ -653,6 +620,7 @@ entry:
 """
         for dst in ("%v0", "r0"):
             for engine in ENGINES:
-                sim = Simulator(parse_program(template.format(dst=dst)),
-                                engine=engine, poison_caller_saved=True)
+                sim = simulator(engine,
+                                parse_program(template.format(dst=dst)),
+                                poison_caller_saved=True)
                 assert sim.run().value == 9, (dst, engine)
