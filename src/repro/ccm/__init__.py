@@ -18,8 +18,9 @@ from .integrated import (CcmGraphHook, CcmLocation, CcmPlacementProvider,
                          IntegratedCcmSlotProvider, SpillPlacement,
                          SpillSlotHook, allocate_function_integrated)
 from .mem_liveness import WebInterference, analyze_webs
-from .postpass import (FunctionPromotion, PromotionReport, promote_function,
-                       promote_spills_postpass, promote_spills_profiled)
+from .postpass import (FunctionPromotion, PromotionReport, analyze_spill_webs,
+                       promote_function, promote_spills_postpass,
+                       promote_spills_profiled)
 from .slots import SpillWeb, find_spill_webs
 
 __all__ = [
@@ -28,7 +29,8 @@ __all__ = [
     "CcmLocation", "CcmPlacementProvider", "IntegratedCcmSlotProvider",
     "SpillPlacement", "SpillSlotHook",
     "allocate_function_integrated", "WebInterference", "analyze_webs",
-    "FunctionPromotion", "PromotionReport", "promote_function",
+    "FunctionPromotion", "PromotionReport", "analyze_spill_webs",
+    "promote_function",
     "promote_spills_postpass", "promote_spills_profiled", "SpillWeb",
     "find_spill_webs",
 ]

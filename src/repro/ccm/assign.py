@@ -54,14 +54,13 @@ def assign_webs(webs: Iterable[SpillWeb], interference: WebInterference,
     if order_by_cost:
         ordered.sort(key=lambda w: (-interference.costs.get(w.web_id, 0.0),
                                     w.web_id))
+    by_id = {w.web_id: w for w in interference.webs}
     placed: Dict[int, int] = {}
     for web in ordered:
-        neighbor_intervals = []
-        for other_id in interference.neighbors(web.web_id):
-            if other_id in placed:
-                other = next(w for w in interference.webs
-                             if w.web_id == other_id)
-                neighbor_intervals.append((placed[other_id], other.size))
+        neighbor_intervals = [(placed[other_id], by_id[other_id].size)
+                              for other_id in
+                              interference.neighbors(web.web_id)
+                              if other_id in placed]
         offset = first_fit_offset(web, neighbor_intervals, capacity,
                                   min_start.get(web.web_id, 0))
         if offset is not None:

@@ -100,10 +100,29 @@ class PromotionReport:
                 if f.high_water >= self.ccm_bytes]
 
 
+def analyze_spill_webs(fn: Function,
+                       block_profile: Optional[Dict[str, int]] = None,
+                       manager: Optional[AnalysisManager] = None
+                       ) -> WebInterference:
+    """The CCM-size-independent half of promotion: the function's spill
+    webs (``.webs``) with their liveness, interference, call crossings
+    and costs.
+
+    Placement only reads the result, and a web's sites are (label,
+    index) pairs, so one analysis of an allocated function serves
+    :func:`promote_function` on any clone of it at any CCM size.
+    """
+    manager = manager or AnalysisManager(fn)
+    webs = find_spill_webs(fn, manager=manager)
+    return analyze_webs(fn, webs, block_profile=block_profile,
+                        manager=manager)
+
+
 def promote_function(fn: Function, ccm_bytes: int,
                      callee_high_water: Optional[Dict[str, int]] = None,
                      block_profile: Optional[Dict[str, int]] = None,
-                     manager: Optional[AnalysisManager] = None
+                     manager: Optional[AnalysisManager] = None,
+                     analysis: Optional[WebInterference] = None
                      ) -> FunctionPromotion:
     """Promote one function's spill webs into a CCM of ``ccm_bytes``.
 
@@ -115,11 +134,20 @@ def promote_function(fn: Function, ccm_bytes: int,
     shared analysis cache — promotion rewrites spill instructions in
     place, so it invalidates the instruction-level analyses before
     returning (a later allocator round on the same manager must not see
-    pre-promotion liveness or spill webs).
+    pre-promotion liveness or spill webs).  ``analysis``, if given, is
+    :func:`analyze_spill_webs` of ``fn`` (or of the program ``fn`` was
+    cloned from) and replaces that step; ``block_profile`` is then
+    unused.
     """
     with trace_span("ccm.promote", fn=fn.name):
-        result = _promote_function(fn, ccm_bytes, callee_high_water,
-                                   block_profile, manager)
+        if analysis is None:
+            analysis = analyze_spill_webs(fn, block_profile, manager)
+        result = _place_webs(fn, analysis, ccm_bytes, callee_high_water)
+        if result.promoted and manager is not None:
+            # the in-place opcode/imm rewrite changed the instructions a
+            # shared manager's liveness and web analyses were computed
+            # from
+            manager.invalidate(cfg=False)
     trace_counter("ccm.webs", result.n_webs)
     trace_counter("ccm.promoted", len(result.promoted))
     trace_counter("ccm.heavyweight", len(result.heavyweight))
@@ -131,19 +159,15 @@ def promote_function(fn: Function, ccm_bytes: int,
     return result
 
 
-def _promote_function(fn: Function, ccm_bytes: int,
-                      callee_high_water: Optional[Dict[str, int]] = None,
-                      block_profile: Optional[Dict[str, int]] = None,
-                      manager: Optional[AnalysisManager] = None
-                      ) -> FunctionPromotion:
-    result = FunctionPromotion(fn.name)
-    manager = manager or AnalysisManager(fn)
-    webs = find_spill_webs(fn, manager=manager)
-    result.n_webs = len(webs)
+def _place_webs(fn: Function, interference: WebInterference, ccm_bytes: int,
+                callee_high_water: Optional[Dict[str, int]]
+                ) -> FunctionPromotion:
+    """The size-dependent half: eligibility, first-fit placement and the
+    rewrite of the promoted webs' spill instructions."""
+    webs = interference.webs
+    result = FunctionPromotion(fn.name, n_webs=len(webs))
     if not webs:
         return result
-    interference = analyze_webs(fn, webs, block_profile=block_profile,
-                                manager=manager)
 
     eligible: List[SpillWeb] = []
     min_start: Dict[int, int] = {}
@@ -185,10 +209,6 @@ def _promote_function(fn: Function, ccm_bytes: int,
     result.offsets = placement
 
     _rewrite_promoted(fn, result)
-    if result.promoted:
-        # the in-place opcode/imm rewrite changed the instructions a
-        # shared manager's liveness and web analyses were computed from
-        manager.invalidate(cfg=False)
     result.high_water = result.ccm_bytes_used
     return result
 
@@ -205,15 +225,21 @@ def _rewrite_promoted(fn: Function, promotion: FunctionPromotion) -> None:
 
 def promote_spills_postpass(program: Program, machine: MachineConfig,
                             interprocedural: bool = False,
-                            compact_heavyweights: bool = False
-                            ) -> PromotionReport:
+                            compact_heavyweights: bool = False,
+                            analyses: Optional[Dict[str, WebInterference]]
+                            = None) -> PromotionReport:
     """Run the post-pass CCM allocator over a whole program (Figure 1).
 
     ``compact_heavyweights`` applies the paper's footnote 3: after
     promotion, the spills left in main memory are re-colored so they are
     "packed tightly together and so use the least memory necessary."
+    ``analyses``, if given, maps each function name to its
+    :func:`analyze_spill_webs` result — computed once on the allocated
+    program this one was cloned from, it serves every CCM size and both
+    variants; by default each function is analyzed here.
     """
     report = PromotionReport(interprocedural, machine.ccm_bytes)
+    analyses = analyses or {}
 
     def finish(fn: Function, manager: AnalysisManager) -> None:
         if compact_heavyweights:
@@ -228,7 +254,8 @@ def promote_spills_postpass(program: Program, machine: MachineConfig,
             manager = AnalysisManager(fn)
             promotion = promote_function(fn, machine.ccm_bytes,
                                          callee_high_water=None,
-                                         manager=manager)
+                                         manager=manager,
+                                         analysis=analyses.get(name))
             promotion.reported_high_water = promotion.high_water
             fn.ccm_high_water = promotion.high_water
             report.functions[name] = promotion
@@ -243,7 +270,8 @@ def promote_spills_postpass(program: Program, machine: MachineConfig,
         manager = AnalysisManager(fn)
         promotion = promote_function(fn, machine.ccm_bytes,
                                      callee_high_water=high_water,
-                                     manager=manager)
+                                     manager=manager,
+                                     analysis=analyses.get(name))
         promotion.recursive = name in recursive
         report.functions[name] = promotion
         own = promotion.high_water

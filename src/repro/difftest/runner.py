@@ -30,9 +30,9 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..ccm import (CcmPlacementProvider, SpillPlacement,
-                   allocate_function_integrated, compact_spill_memory,
-                   promote_spills_postpass)
+from ..ccm import (CcmPlacementProvider, SpillPlacement, WebInterference,
+                   allocate_function_integrated, analyze_spill_webs,
+                   compact_spill_memory, promote_spills_postpass)
 from ..exec import ArtifactCache, StageClock, SweepStats, run_jobs
 from ..exec.batching import group_batches
 from ..exec.compare import values_match as _values_match
@@ -40,11 +40,11 @@ from ..frontend import compile_source
 from ..ir import Program, verify_program
 from ..machine import (BatchMember, BatchSimulation, BatchSplit,
                        MachineConfig, RunStats, SimulationError, Simulator,
-                       batch_key)
+                       arch_signature, program_fingerprint)
 from ..opt import optimize_program
 from ..regalloc import (allocate_function, lower_calling_convention,
                         regalloc_engine)
-from ..trace import TraceRecorder, recording, trace_span
+from ..trace import TraceRecorder, recording, trace_counter, trace_span
 from .gen import generate_source
 
 DEFAULT_CCM_SIZES = (0, 64, 512, 1024)
@@ -220,8 +220,10 @@ class _StageCache:
     allocation, and under Chaitin-Briggs the integrated scheme makes the
     baseline's register decisions at every CCM size, so each integrated
     config is that allocation placed for its size
-    (:class:`~repro.ccm.CcmPlacementProvider`).  Each level caches a
-    compiled snapshot; config-specific passes run on a
+    (:class:`~repro.ccm.CcmPlacementProvider`).  Likewise each
+    allocation's spill webs are analyzed once for all of its post-pass
+    configs; only their placement depends on the CCM size.  Each level
+    caches a compiled snapshot; config-specific passes run on a
     :meth:`Program.clone` so the snapshot stays pristine.  On the
     default lattice this turns 52 full compiles per seed into 2
     optimize+lower runs, 2 register allocations, and cheap per-config
@@ -239,6 +241,8 @@ class _StageCache:
         self._allocated: Dict[tuple, Program] = {}
         #: per allocated snapshot: function name -> its CCM placement
         self._placements: Dict[tuple, Dict[str, SpillPlacement]] = {}
+        #: per allocated snapshot: function name -> its spill-web analysis
+        self._web_analyses: Dict[tuple, Dict[str, WebInterference]] = {}
         self._ssa_integrated: Dict[tuple, Program] = {}
 
     def lowered(self, optimize: bool, geometry: str) -> Program:
@@ -280,6 +284,20 @@ class _StageCache:
             self._placements[key] = placements
         return self._allocated[key]
 
+    def web_analyses(self, optimize: bool, geometry: str,
+                     allocator: Optional[str] = None,
+                     rematerialize: bool = True
+                     ) -> Dict[str, WebInterference]:
+        """Each function's post-pass spill-web analysis of the baseline
+        allocation, shared by every post-pass config placed from it."""
+        key = (optimize, geometry, allocator, rematerialize)
+        if key not in self._web_analyses:
+            prog = self.allocated(*key)
+            self._web_analyses[key] = {
+                name: analyze_spill_webs(fn)
+                for name, fn in prog.functions.items()}
+        return self._web_analyses[key]
+
     def integrated(self, optimize: bool, geometry: str, ccm_bytes: int,
                    allocator: Optional[str] = None,
                    rematerialize: bool = True) -> Program:
@@ -306,7 +324,9 @@ class _StageCache:
 
 def finalize_config(stages: _StageCache,
                     config: DiffConfig) -> Tuple[Program, MachineConfig]:
-    """The fully compiled program for one lattice point."""
+    """The fully compiled program for one lattice point, not yet
+    verified: callers run :func:`verify_program` (the lattice runner
+    once per distinct program)."""
     machine = _machine_for(config)
     if config.variant == "integrated":
         program = stages.integrated(config.optimize, config.geometry,
@@ -316,27 +336,29 @@ def finalize_config(stages: _StageCache,
             for fn in program.functions.values():
                 compact_spill_memory(fn)
     else:
-        program = stages.allocated(config.optimize, config.geometry,
-                                   config.allocator,
-                                   config.rematerialize).clone()
-        if config.variant == "postpass":
-            promote_spills_postpass(program, machine, interprocedural=False,
-                                    compact_heavyweights=config.compaction)
-        elif config.variant == "postpass_cg":
-            promote_spills_postpass(program, machine, interprocedural=True,
-                                    compact_heavyweights=config.compaction)
+        setting = (config.optimize, config.geometry, config.allocator,
+                   config.rematerialize)
+        program = stages.allocated(*setting).clone()
+        if config.variant in ("postpass", "postpass_cg"):
+            promote_spills_postpass(
+                program, machine,
+                interprocedural=config.variant == "postpass_cg",
+                compact_heavyweights=config.compaction,
+                analyses=stages.web_analyses(*setting))
         elif config.compaction:
             for fn in program.functions.values():
                 compact_spill_memory(fn)
-    verify_program(program)
     return program, machine
 
 
 def compile_config(program: Program, config: DiffConfig
                    ) -> Tuple[Program, MachineConfig]:
-    """Compile ``program`` under one config (standalone entry point;
-    ``check_source`` goes through a shared :class:`_StageCache`)."""
-    return finalize_config(_StageCache(program, [config]), config)
+    """Compile and verify ``program`` under one config (standalone entry
+    point; ``check_source`` goes through a shared :class:`_StageCache`)."""
+    program, machine = finalize_config(_StageCache(program, [config]),
+                                       config)
+    verify_program(program)
+    return program, machine
 
 
 # -- execution -----------------------------------------------------------------
@@ -553,14 +575,28 @@ def _judge(config: DiffConfig, outcome: Outcome, reference: Outcome,
     return None
 
 
+def _error_detail(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
+def _verify(program: Program) -> Optional[str]:
+    """:func:`verify_program`'s outcome as a value: None when the
+    program passes, else the ``compile_error`` detail."""
+    try:
+        verify_program(program)
+    except Exception as exc:
+        return _error_detail(exc)
+    return None
+
+
 def _check_all_batched(stages: _StageCache, configs: Sequence[DiffConfig],
                        reference: Outcome, fault: FaultFn = None,
                        clock: Optional[StageClock] = None
                        ) -> List[Divergence]:
     """Compile, simulate, and judge the whole lattice.
 
-    Compiles every config first, groups them by
-    :func:`repro.machine.batch_key` (configs whose programs compile to
+    Compiles every config first, groups them by batch key (as
+    :func:`repro.machine.batch_key`: configs whose programs compile to
     identical code under an architecturally-identical machine), runs
     one :class:`BatchSimulation` per group, then judges each config in
     lattice order — each outcome is bit-identical to a scalar run of
@@ -569,6 +605,16 @@ def _check_all_batched(stages: _StageCache, configs: Sequence[DiffConfig],
     as ``difftest.batch_key`` spans), ``execute.batch`` for shared
     passes and ``execute.scalar`` for per-member fallbacks (the
     reference run stays in ``execute``).
+
+    The 52 default configs compile to about ten distinct programs, so
+    :func:`verify_program` runs once per :func:`program_fingerprint`
+    (traced as ``difftest.verify`` spans, counted by the
+    ``difftest.distinct_programs`` counter) and its outcome — pass, or
+    the error every config with that program reports as its
+    ``compile_error`` — is reused.  No check is lost: the verifier
+    reads only fields the fingerprint encodes.  A fault applies after
+    verification, as in a scalar run, so faulted programs are
+    fingerprinted again for their batch key.
 
     Only one *representative* program clone is kept per group — a
     member's contribution beyond its fingerprint is just its machine.
@@ -581,23 +627,36 @@ def _check_all_batched(stages: _StageCache, configs: Sequence[DiffConfig],
     machines: List[Optional[MachineConfig]] = [None] * n
     representatives: Dict[tuple, Program] = {}
     compile_errors: Dict[int, Divergence] = {}
+    #: fingerprint -> the verifier's error detail for that program
+    verified: Dict[str, Optional[str]] = {}
     for index, config in enumerate(configs):
         try:
             with _timed(clock, "compile"):
                 program, machine = finalize_config(stages, config)
         except Exception as exc:
             compile_errors[index] = Divergence(
-                None, config.name, "compile_error",
-                f"{type(exc).__name__}: {exc}")
+                None, config.name, "compile_error", _error_detail(exc))
+            keys.append(None)
+            continue
+        with _timed(clock, "group"), trace_span("difftest.batch_key"):
+            fingerprint = program_fingerprint(program)
+        if fingerprint not in verified:
+            with _timed(clock, "compile"), trace_span("difftest.verify"):
+                verified[fingerprint] = _verify(program)
+        if verified[fingerprint] is not None:
+            compile_errors[index] = Divergence(
+                None, config.name, "compile_error", verified[fingerprint])
             keys.append(None)
             continue
         if fault is not None:
             fault(program)
-        with _timed(clock, "group"), trace_span("difftest.batch_key"):
-            key = batch_key(program, machine)
+            with _timed(clock, "group"), trace_span("difftest.batch_key"):
+                fingerprint = program_fingerprint(program)
+        key = (fingerprint, arch_signature(machine))
         keys.append(key)
         machines[index] = machine
         representatives.setdefault(key, program)
+    trace_counter("difftest.distinct_programs", len(verified))
 
     outcomes: List[Optional[Outcome]] = [None] * n
     machine_errors: List[Optional[SimulationError]] = [None] * n

@@ -102,9 +102,19 @@ class Instruction:
         return n
 
     def copy(self) -> "Instruction":
-        return Instruction(self.opcode, list(self.dsts), list(self.srcs),
-                           self.imm, list(self.labels), self.symbol,
-                           list(self.phi_labels), self.comment)
+        # slot-for-slot, bypassing __init__'s list() conversions: every
+        # program clone copies each instruction once.  The lists must
+        # still be fresh, since passes mutate them in place.
+        new = object.__new__(Instruction)
+        new.opcode = self.opcode
+        new.dsts = self.dsts[:]
+        new.srcs = self.srcs[:]
+        new.imm = self.imm
+        new.labels = self.labels[:]
+        new.symbol = self.symbol
+        new.phi_labels = self.phi_labels[:]
+        new.comment = self.comment
+        return new
 
     # -- printing ----------------------------------------------------------
 

@@ -7,10 +7,10 @@ of as mysterious simulator failures.
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Optional
 
 from .function import Function, Program
-from .opcodes import Opcode, info
+from .opcodes import CCM_OPS, SPILL_OPS, Opcode, info
 from .operands import PhysReg, VirtualReg
 
 
@@ -97,72 +97,79 @@ def _verify_defs(fn: Function) -> None:
                         f"in the function")
 
 
+#: ops whose immediate is a spill-slot offset, stack or CCM
+_SLOT_OPS = frozenset(SPILL_OPS | CCM_OPS)
+#: ops whose slot must lie inside the function's stack spill area
+_STACK_SLOT_OPS = frozenset(SPILL_OPS)
+
+
 def _verify_instruction(fn, label, idx, instr, labels, program) -> None:
-    meta = info(instr.opcode)
-    where = f"{fn.name}/{label}[{idx}] {instr.opcode.value}"
+    problem = _instruction_problem(fn, instr, labels, program)
+    if problem is not None:
+        # the location prefix is built only on failure: this check runs
+        # once per instruction of every verified program
+        raise VerificationError(
+            f"{fn.name}/{label}[{idx}] {instr.opcode.value}: {problem}")
+
+
+def _instruction_problem(fn, instr, labels, program) -> Optional[str]:
+    """What is wrong with one instruction, or None."""
+    opcode = instr.opcode
+    meta = info(opcode)
 
     if meta.n_dsts >= 0 and len(instr.dsts) != meta.n_dsts:
-        raise VerificationError(
-            f"{where}: expected {meta.n_dsts} dsts, got {len(instr.dsts)}")
+        return f"expected {meta.n_dsts} dsts, got {len(instr.dsts)}"
     if meta.n_srcs >= 0 and len(instr.srcs) != meta.n_srcs:
-        raise VerificationError(
-            f"{where}: expected {meta.n_srcs} srcs, got {len(instr.srcs)}")
+        return f"expected {meta.n_srcs} srcs, got {len(instr.srcs)}"
 
     for reg, want in zip(instr.dsts, meta.dst_classes):
         if reg.rclass is not want:
-            raise VerificationError(
-                f"{where}: dst {reg} has class {reg.rclass.value}, "
-                f"expected {want.value}")
+            return (f"dst {reg} has class {reg.rclass.value}, "
+                    f"expected {want.value}")
     for reg, want in zip(instr.srcs, meta.src_classes):
         if reg.rclass is not want:
-            raise VerificationError(
-                f"{where}: src {reg} has class {reg.rclass.value}, "
-                f"expected {want.value}")
+            return (f"src {reg} has class {reg.rclass.value}, "
+                    f"expected {want.value}")
 
     if meta.has_imm and instr.imm is None:
-        raise VerificationError(f"{where}: missing immediate")
+        return "missing immediate"
     if meta.n_labels and len(instr.labels) != meta.n_labels:
-        raise VerificationError(
-            f"{where}: expected {meta.n_labels} labels, got {len(instr.labels)}")
+        return f"expected {meta.n_labels} labels, got {len(instr.labels)}"
     for target in instr.labels:
         if target not in labels:
-            raise VerificationError(f"{where}: unknown branch target {target}")
+            return f"unknown branch target {target}"
 
-    if instr.opcode is Opcode.PHI:
+    if opcode is Opcode.PHI:
         if len(instr.srcs) != len(instr.phi_labels):
-            raise VerificationError(f"{where}: phi srcs/labels length mismatch")
+            return "phi srcs/labels length mismatch"
         for reg in instr.srcs:
             if reg.rclass is not instr.dsts[0].rclass:
-                raise VerificationError(f"{where}: phi class mismatch")
+                return "phi class mismatch"
 
-    if instr.opcode in (Opcode.SPILL, Opcode.FSPILL, Opcode.RELOAD,
-                        Opcode.FRELOAD, Opcode.CCMST, Opcode.FCCMST,
-                        Opcode.CCMLD, Opcode.FCCMLD):
+    if opcode in _SLOT_OPS:
         if not isinstance(instr.imm, int) or instr.imm < 0:
-            raise VerificationError(f"{where}: bad slot offset {instr.imm!r}")
+            return f"bad slot offset {instr.imm!r}"
 
-    if instr.opcode in (Opcode.SPILL, Opcode.FSPILL, Opcode.RELOAD,
-                        Opcode.FRELOAD):
+    if opcode in _STACK_SLOT_OPS:
         # stack spill slots must lie inside the declared spill area: an
         # access past fn.frame_size reads or clobbers the caller's frame
         reg = (instr.srcs or instr.dsts)[0]
         end = instr.imm + reg.rclass.size_bytes
         if end > fn.frame_size:
-            raise VerificationError(
-                f"{where}: stack slot [{instr.imm}, {end}) exceeds the "
-                f"declared {fn.frame_size}-byte spill area")
+            return (f"stack slot [{instr.imm}, {end}) exceeds the "
+                    f"declared {fn.frame_size}-byte spill area")
 
-    if instr.opcode is Opcode.CALL and program is not None:
+    if opcode is Opcode.CALL and program is not None:
         if instr.symbol not in program.functions:
-            raise VerificationError(f"{where}: unknown callee {instr.symbol}")
+            return f"unknown callee {instr.symbol}"
         callee = program.functions[instr.symbol]
         if len(instr.srcs) != len(callee.params):
-            raise VerificationError(
-                f"{where}: {instr.symbol} takes {len(callee.params)} args, "
-                f"got {len(instr.srcs)}")
-    if instr.opcode is Opcode.LOADG and program is not None:
+            return (f"{instr.symbol} takes {len(callee.params)} args, "
+                    f"got {len(instr.srcs)}")
+    if opcode is Opcode.LOADG and program is not None:
         if instr.symbol not in program.globals:
-            raise VerificationError(f"{where}: unknown global {instr.symbol}")
+            return f"unknown global {instr.symbol}"
+    return None
 
 
 def verify_program(prog: Program) -> None:

@@ -31,7 +31,7 @@ def check_source_scalar(source: str,
                         seed: Optional[int] = None,
                         fault=None) -> SeedResult:
     """:func:`repro.difftest.check_source` as one simulation per config
-    (no artifact cache, no clock)."""
+    (no artifact cache, no clock), verifying every config's program."""
     configs = list(configs) if configs is not None else config_lattice()
     result = SeedResult(seed, n_configs=len(configs))
     try:
@@ -50,6 +50,7 @@ def check_source_scalar(source: str,
     for config in configs:
         try:
             program, machine = finalize_config(stages, config)
+            verify_program(program)
         except Exception as exc:
             divergence = Divergence(None, config.name, "compile_error",
                                     f"{type(exc).__name__}: {exc}")

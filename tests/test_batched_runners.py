@@ -7,16 +7,24 @@ whole :class:`SeedResult`\\ s, divergence for divergence, and ablation
 cells — to the one-simulation-per-config loops kept in
 ``runner_oracle.py``: on fuzz seeds, on the persistent corpus, and
 under every injected fault (so divergent, trapping and machine-error
-outcomes are compared too, not just clean ones).
+outcomes are compared too, not just clean ones), and under a pass that
+breaks verification for some configs (the batched runner verifies each
+distinct program once, the scalar loop every config).
 """
 
 import pytest
 
 from runner_oracle import ablation_cells_scalar, check_source_scalar
 
-from repro.difftest import check_source, generate_source, iter_corpus
+from repro.ccm import compaction
+from repro.difftest import check_source, generate_source, iter_corpus, runner
 from repro.difftest.faults import FAULTS
+from repro.difftest.runner import config_lattice
+from repro.frontend import compile_source
 from repro.harness.ablation import run_ablation
+from repro.ir import CCM_OPS, SPILL_OPS
+from repro.machine import program_fingerprint
+from repro.trace import TraceRecorder, recording
 
 SEEDS = range(10)
 CORPUS = list(iter_corpus())
@@ -50,3 +58,59 @@ def test_faulted_run_matches_scalar_loop(fault_name):
 def test_ablation_cells_match_per_cell_runs():
     routines = ["decomp", "fmin"]
     assert run_ablation(routines).cells == ablation_cells_scalar(routines)
+
+
+def _skew_past_frame(monkeypatch):
+    """Compaction that moves one stack slot past ``frame_size`` in every
+    function without CCM code: the compacted baseline and ccm=0 configs
+    fail verification, the configs that promote spills mostly do not."""
+    real = compaction.compact_spill_memory
+
+    def skewed(fn, manager=None):
+        result = real(fn, manager=manager)
+        ops = [instr for _, instr in fn.instructions()]
+        if not any(instr.opcode in CCM_OPS for instr in ops):
+            for instr in ops:
+                if instr.opcode in SPILL_OPS:
+                    instr.imm = fn.frame_size
+                    break
+        return result
+
+    # the runner binds the name at import, the post-pass at call time
+    monkeypatch.setattr(compaction, "compact_spill_memory", skewed)
+    monkeypatch.setattr(runner, "compact_spill_memory", skewed)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_verify_once_reports_every_failing_config(monkeypatch, seed):
+    """Verifying once per distinct program keeps the check: a pass that
+    breaks the frame gives the same compile_error divergences, config
+    for config, as verifying each config's program."""
+    _skew_past_frame(monkeypatch)
+    source = generate_source(seed)
+    configs = config_lattice()
+    stages = runner._StageCache(compile_source(source), configs)
+    distinct = {program_fingerprint(runner.finalize_config(stages, c)[0])
+                for c in configs}
+
+    calls = []
+    real_verify = runner.verify_program
+
+    def counting(program):
+        calls.append(program)
+        return real_verify(program)
+
+    monkeypatch.setattr(runner, "verify_program", counting)
+    recorder = TraceRecorder()
+    with recording(recorder):
+        batched = check_source(source, seed=seed)
+    scalar = check_source_scalar(source, seed=seed)
+
+    assert batched == scalar
+    failed = [d for d in batched.divergences if d.kind == "compile_error"]
+    assert failed and len(failed) < len(configs)
+    assert all("exceeds the declared" in d.detail for d in failed)
+    # the reference program, then one verification per distinct program
+    assert len(calls) == 1 + len(distinct)
+    assert recorder.counters["difftest.distinct_programs"] == len(distinct)
+    assert recorder.span_totals()["difftest.verify"][0] == len(distinct)
