@@ -22,7 +22,7 @@ parallelism stacks on top of it on multi-core hosts.
 
 import pytest
 
-from repro.exec import compile_whole_program
+from repro.exec.wholeprog import compile_whole_program
 from repro.machine import PAPER_MACHINE_512
 from repro.workloads import AppProfile, generate_application
 

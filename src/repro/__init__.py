@@ -30,29 +30,59 @@ Quickstart::
     '''
     result = compile_and_run(source, variant="postpass_cg")
     print(result.value, result.stats.cycles)
+
+Importing the package loads nothing else: every public name below
+resolves on first use (a PEP 562 module ``__getattr__``), so the CLI
+pays only for the subcommand it runs.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+import importlib
+from typing import TYPE_CHECKING, Optional
 
-from .frontend import compile_source
-from .harness.experiment import VARIANTS, compile_program
-from .machine import (DataCache, MachineConfig, PAPER_MACHINE_1024,
-                      PAPER_MACHINE_512, RunResult, Simulator)
+if TYPE_CHECKING:
+    from .machine import DataCache, MachineConfig, RunResult
 
 __version__ = "1.0.0"
 
+#: the paper's four allocator variants; see :mod:`repro.harness.experiment`
+VARIANTS = ("baseline", "postpass", "postpass_cg", "integrated")
+
+#: public name -> the module that defines it, imported on first access
+_LAZY = {
+    "compile_source": ".frontend",
+    "compile_program": ".harness.experiment",
+    **dict.fromkeys(("DataCache", "MachineConfig", "PAPER_MACHINE_1024",
+                     "PAPER_MACHINE_512", "RunResult", "Simulator"),
+                    ".machine"),
+}
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(module, __name__), name)
+    globals()[name] = value
+    return value
+
 
 def compile_and_run(source: str, variant: str = "baseline",
-                    machine: MachineConfig = PAPER_MACHINE_512,
+                    machine: Optional[MachineConfig] = None,
                     cache: Optional[DataCache] = None,
                     entry: Optional[str] = None) -> RunResult:
     """Compile MFL source under an allocator variant and simulate it.
 
-    ``variant`` is one of ``baseline``, ``postpass``, ``postpass_cg``,
-    ``integrated`` (see :mod:`repro.harness.experiment`).
+    ``variant`` is one of :data:`VARIANTS` (see
+    :mod:`repro.harness.experiment`); ``machine`` defaults to the
+    paper's 512-byte CCM machine.
     """
+    from .frontend import compile_source
+    from .harness.experiment import compile_program
+    from .machine import PAPER_MACHINE_512, Simulator
+
+    machine = machine if machine is not None else PAPER_MACHINE_512
     program = compile_source(source)
     compile_program(program, machine, variant)
     simulator = Simulator(program, machine, cache=cache,

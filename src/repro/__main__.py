@@ -8,7 +8,6 @@ Usage::
     python -m repro difftest [--seeds N] [-j N] [--profile nightly]
     python -m repro harness table2 [-j N] [--stats]
     python -m repro trace compare [--baseline benchmarks/baselines]
-    python -m repro serve [--socket PATH] [--jobs N]
     python -m repro cache stats [--cache-dir DIR]
 
 ``emit`` prints the ILOC listing at a chosen stage: ``frontend`` (raw
@@ -20,10 +19,13 @@ fuzzer over the allocator config lattice (see :mod:`repro.difftest`);
 ``--jobs N`` / ``-j N`` to fan out over worker processes, ``--stats``
 for engine metrics, and share the on-disk artifact cache.  ``trace``
 captures/compares per-routine compile-quality metric baselines (the
-regression gate; see :mod:`repro.trace.cli`).  ``serve`` runs the
-compilation-as-a-service daemon (and its client subcommands; see
-:mod:`repro.serve`); ``cache`` inspects and maintains the shared
-on-disk artifact store (see :mod:`repro.exec.cache_cli`).
+regression gate; see :mod:`repro.trace.cli`).  ``cache`` inspects and
+maintains the shared on-disk artifact store (see
+:mod:`repro.exec.cache_cli`).
+
+Start-up is lazy: each subcommand imports only the modules it runs.  A
+missing or malformed source file is one ``repro: error: ...`` line and
+exit status 2.
 """
 
 from __future__ import annotations
@@ -32,24 +34,18 @@ import argparse
 import sys
 from typing import List, Optional
 
-from .frontend import compile_source
-from .harness.experiment import VARIANTS, compile_program
-from .ir import format_program, verify_program
-from .machine import MachineConfig, Simulator
-from .opt import optimize_program
-from .regalloc import lower_calling_convention
+from . import VARIANTS
+from .exec.argtypes import nonnegative_int
 
 
-def _load(path: str):
-    with open(path) as handle:
-        return compile_source(handle.read(), name=path)
-
-
-def _parse_value(text: str):
-    try:
-        return int(text)
-    except ValueError:
-        return float(text)
+def _main_argument(text: str):
+    """``--args``: an int, else a float."""
+    for convert in (int, float):
+        try:
+            return convert(text)
+        except ValueError:
+            pass
+    raise argparse.ArgumentTypeError(f"not a number: {text!r}")
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -66,10 +62,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         # metric-baseline capture/compare (the regression gate)
         from .trace.cli import main as trace_main
         return trace_main(argv[1:])
-    if argv and argv[0] == "serve":
-        # the compilation-as-a-service daemon and its client
-        from .serve.cli import main as serve_main
-        return serve_main(argv[1:])
     if argv and argv[0] == "cache":
         # artifact-store maintenance (stats / evict / clear)
         from .exec.cache_cli import main as cache_main
@@ -82,10 +74,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     run_cmd = sub.add_parser("run", help="compile and simulate a program")
     run_cmd.add_argument("file")
     run_cmd.add_argument("--variant", choices=VARIANTS, default="baseline")
-    run_cmd.add_argument("--ccm", type=int, default=512,
+    run_cmd.add_argument("--ccm", type=nonnegative_int, default=512,
                          help="CCM size in bytes")
-    run_cmd.add_argument("--args", nargs="*", default=[],
-                         help="arguments for main()")
+    run_cmd.add_argument("--args", type=_main_argument, nargs="*",
+                         default=[], help="arguments for main()")
     run_cmd.add_argument("--stats", action="store_true",
                          help="print the full dynamic statistics")
 
@@ -98,9 +90,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     sub.add_parser("trace",
                    help="capture/compare compile-quality metric baselines "
                         "(python -m repro trace --help)")
-    sub.add_parser("serve",
-                   help="compilation-as-a-service daemon and client "
-                        "(python -m repro serve --help)")
     sub.add_parser("cache",
                    help="artifact-store stats/evict/clear "
                         "(python -m repro cache --help)")
@@ -108,12 +97,27 @@ def main(argv: Optional[List[str]] = None) -> int:
     emit_cmd = sub.add_parser("emit", help="print the ILOC listing")
     emit_cmd.add_argument("file")
     emit_cmd.add_argument("--variant", choices=VARIANTS, default="baseline")
-    emit_cmd.add_argument("--ccm", type=int, default=512)
+    emit_cmd.add_argument("--ccm", type=nonnegative_int, default=512)
     emit_cmd.add_argument("--stage", choices=["frontend", "opt", "asm"],
                           default="asm")
 
     args = parser.parse_args(argv)
-    program = _load(args.file)
+
+    from .frontend import (LexError, MflSyntaxError, MflTypeError,
+                           compile_source)
+    from .harness.experiment import compile_program
+    from .ir import format_program, verify_program
+    from .machine import MachineConfig, Simulator
+    from .opt import optimize_program
+
+    try:
+        with open(args.file) as handle:
+            program = compile_source(handle.read(), name=args.file)
+    except (OSError, UnicodeDecodeError, LexError, MflSyntaxError,
+            MflTypeError) as exc:
+        detail = getattr(exc, "strerror", None) or exc
+        print(f"repro: error: {args.file}: {detail}", file=sys.stderr)
+        return 2
     machine = MachineConfig(ccm_bytes=args.ccm)
 
     if args.command == "emit":
@@ -127,7 +131,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     compile_program(program, machine, args.variant)
     result = Simulator(program, machine, poison_caller_saved=True).run(
-        args=[_parse_value(a) for a in args.args])
+        args=args.args)
     print(f"result: {result.value}")
     stats = result.stats
     print(f"cycles: {stats.cycles} ({stats.memory_cycles} in memory ops)")

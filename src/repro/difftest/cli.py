@@ -21,8 +21,9 @@ import os
 import sys
 from typing import List, Optional
 
-from ..exec import ArtifactCache, SweepStats, default_cache_dir, default_jobs
+from ..exec import SweepStats, default_jobs
 from ..exec.argtypes import nonnegative_int, positive_int
+from ..exec.cache_cli import add_cache_arguments, cache_from_args
 from ..regalloc import set_regalloc_engine
 from ..trace import TraceRecorder, format_summary, write_chrome_trace
 from .corpus import save_corpus_entry
@@ -121,13 +122,7 @@ def build_parser(parser: Optional[argparse.ArgumentParser] = None
                         help="write sweep statistics JSON (jobs, artifact-"
                              "cache hit rate, per-stage wall/CPU time) to "
                              "PATH, or stderr when PATH is omitted")
-    parser.add_argument("--cache-dir", metavar="DIR", default=None,
-                        help="artifact cache directory (default: "
-                             "$REPRO_CACHE_DIR or ~/.cache/repro-ccm)")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="disable the on-disk artifact cache")
-    parser.add_argument("--clear-cache", action="store_true",
-                        help="empty the artifact cache before running")
+    add_cache_arguments(parser)
     parser.add_argument("--trace", action="store_true",
                         help="record per-pass pipeline spans/counters and "
                              "print a summary to stderr")
@@ -157,7 +152,8 @@ def _reduce_divergence(seed: int, config_names: List[str],
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     if args.regalloc_engine is not None:
         # both for this process and for spawned sweep workers, which
         # re-read the environment at import
@@ -166,10 +162,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     configs = config_lattice(tuple(args.ccm), geometry=args.machine,
                              allocators=tuple(args.allocators))
 
-    artifacts = (None if args.no_cache
-                 else ArtifactCache(args.cache_dir or default_cache_dir()))
-    if args.clear_cache and artifacts is not None:
-        artifacts.clear()
+    artifacts = cache_from_args(parser, args)
 
     if args.seed is not None:
         source = generate_source(args.seed)

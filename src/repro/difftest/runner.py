@@ -434,11 +434,6 @@ def _check_invariants(config: DiffConfig, stats: RunStats,
 FaultFn = Optional[Callable[[Program], None]]
 
 
-def _lattice_descriptor(configs: Sequence[DiffConfig]) -> str:
-    """Stable artifact-cache config component for one lattice."""
-    return "difftest-lattice:" + ";".join(c.name for c in configs)
-
-
 def check_source(source: str, configs: Optional[Sequence[DiffConfig]] = None,
                  seed: Optional[int] = None,
                  fault: FaultFn = None,
@@ -466,7 +461,8 @@ def check_source(source: str, configs: Optional[Sequence[DiffConfig]] = None,
     configs = list(configs) if configs is not None else config_lattice()
     key = None
     if artifacts is not None and fault is None:
-        key = artifacts.key(source, _lattice_descriptor(configs))
+        lattice = "difftest-lattice:" + ";".join(c.name for c in configs)
+        key = artifacts.key(source, lattice)
         hit, cached = artifacts.get(key)
         if hit:
             cached.seed = seed

@@ -25,6 +25,8 @@ share:
   compilation driver: condense the call graph, schedule SCC waves onto
   a persistent :class:`~repro.exec.pool.JobPool` callee-before-caller,
   coalesce content-identical routine compiles, stream the results.
+  It is not re-exported here: import the submodule, so that code
+  which never builds a whole program never loads it.
 
 :mod:`repro.exec.compare` holds the single value-comparison helper the
 harness verifier and the difftest oracle both use (they used to carry
@@ -38,8 +40,6 @@ from .batching import group_batches
 from .compare import FLOAT_RTOL, values_match
 from .pool import JobPool, default_jobs, run_jobs
 from .stats import StageClock, SweepStats
-from .wholeprog import (SccSchedule, WholeProgramReport,
-                        compile_whole_program, monolithic_report)
 
 __all__ = [
     "ArtifactCache", "code_version", "default_cache_budget",
@@ -48,6 +48,4 @@ __all__ = [
     "FLOAT_RTOL", "values_match",
     "JobPool", "default_jobs", "run_jobs",
     "StageClock", "SweepStats",
-    "SccSchedule", "WholeProgramReport", "compile_whole_program",
-    "monolithic_report",
 ]

@@ -29,9 +29,9 @@ shards) keeps directory listings short even at millions of entries.
 
 Concurrent use
 --------------
-The cache is shared by sweep workers, concurrent sweeps, and the
-``repro.serve`` daemon, so every mutation has to be safe against every
-other:
+The cache is shared by the worker processes of one sweep and by
+concurrent CLI invocations, so every mutation has to be safe against
+every other:
 
 * **Writes are write-once-verify.**  A value is written to a temp file
   and published with an atomic ``os.replace`` — readers see the old
@@ -57,6 +57,7 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
+import math
 import os
 import pickle
 import shutil
@@ -83,22 +84,38 @@ def default_cache_dir() -> str:
 
 
 def default_cache_budget() -> Optional[int]:
-    """Size budget in bytes from ``$REPRO_CACHE_BUDGET`` (None = unbounded)."""
+    """Size budget in bytes from ``$REPRO_CACHE_BUDGET`` (None = unbounded).
+
+    A malformed value raises ``ValueError`` naming the variable.
+    """
     env = os.environ.get("REPRO_CACHE_BUDGET")
     if not env:
         return None
-    return parse_bytes(env)
+    try:
+        return parse_bytes(env)
+    except ValueError as exc:
+        raise ValueError(f"$REPRO_CACHE_BUDGET: {exc}") from None
 
 
 def parse_bytes(text: str) -> int:
-    """Parse a byte count with an optional K/M/G suffix (``"256M"``)."""
-    text = text.strip()
+    """Parse a byte count with an optional K/M/G suffix (``"256M"``).
+
+    Raises ``ValueError`` unless the count is a finite number >= 0.
+    """
+    number = text.strip()
     scale = 1
     suffixes = {"k": 1024, "m": 1024 ** 2, "g": 1024 ** 3}
-    if text and text[-1].lower() in suffixes:
-        scale = suffixes[text[-1].lower()]
-        text = text[:-1]
-    return int(float(text) * scale)
+    if number and number[-1].lower() in suffixes:
+        scale = suffixes[number[-1].lower()]
+        number = number[:-1]
+    try:
+        value = float(number) * scale
+    except ValueError:
+        value = math.nan
+    if not 0 <= value < math.inf:
+        raise ValueError(f"invalid byte count {text!r} "
+                         f"(expected e.g. 4096, 512K, 256M or 1G)")
+    return int(value)
 
 
 def _package_root() -> str:
@@ -160,10 +177,10 @@ class ArtifactCache:
     """Pickle-backed content-addressed store; see the module docstring.
 
     The cache is safe to share between the worker processes of one
-    sweep, between concurrent sweeps, and under a long-lived daemon:
-    keys are content hashes, so two writers racing on one key hold
-    identical bytes and the first published entry wins; eviction and
-    reads race benignly (a reader mid-eviction sees a miss).
+    sweep and between concurrent sweeps: keys are content hashes, so
+    two writers racing on one key hold identical bytes and the first
+    published entry wins; eviction and reads race benignly (a reader
+    mid-eviction sees a miss).
     """
 
     def __init__(self, root: Optional[str] = None,

@@ -2,8 +2,7 @@
 
 The content-addressed cache under ``--cache-dir`` (default
 ``$REPRO_CACHE_DIR`` or ``~/.cache/repro-ccm``) is shared by every
-sweep CLI and by the ``repro.serve`` daemon; this command is the
-operator's view of it::
+sweep CLI; this command is the operator's view of it::
 
     python -m repro cache stats                  # entries, bytes, shards
     python -m repro cache stats --json -         # machine-readable
@@ -13,7 +12,8 @@ operator's view of it::
 
 ``evict`` without ``--budget`` uses the configured budget
 (``$REPRO_CACHE_BUDGET``); with neither it is an error — an unbounded
-cache has nothing to evict to.
+cache has nothing to evict to.  A malformed ``--budget`` or
+``$REPRO_CACHE_BUDGET`` is a usage error (exit status 2).
 """
 
 from __future__ import annotations
@@ -23,7 +23,11 @@ import json
 import sys
 from typing import List, Optional
 
-from .artifacts import ArtifactCache, default_cache_dir, parse_bytes
+from .argtypes import byte_count
+from .artifacts import ArtifactCache, default_cache_budget, default_cache_dir
+
+_CACHE_DIR_HELP = ("artifact cache directory (default: "
+                   "$REPRO_CACHE_DIR or ~/.cache/repro-ccm)")
 
 
 def _format_bytes(n: Optional[int]) -> str:
@@ -37,15 +41,51 @@ def _format_bytes(n: Optional[int]) -> str:
     return f"{n} B"
 
 
+def add_cache_arguments(parser: argparse.ArgumentParser) -> None:
+    """The artifact-cache flags every sweep CLI takes."""
+    parser.add_argument("--cache-dir", metavar="DIR", default=None,
+                        help=_CACHE_DIR_HELP)
+    parser.add_argument("--no-cache", action="store_true",
+                        help="disable the on-disk artifact cache")
+    parser.add_argument("--clear-cache", action="store_true",
+                        help="empty the artifact cache before running")
+
+
+def _open_cache(parser: argparse.ArgumentParser, root: Optional[str],
+                version: Optional[str] = None,
+                budget_bytes: Optional[int] = None) -> ArtifactCache:
+    """An :class:`ArtifactCache`; a malformed ``$REPRO_CACHE_BUDGET`` is
+    a usage error that names the variable."""
+    if budget_bytes is None:
+        try:
+            budget_bytes = default_cache_budget()
+        except ValueError as exc:
+            parser.error(str(exc))
+    return ArtifactCache(root or default_cache_dir(), version=version,
+                         budget_bytes=budget_bytes)
+
+
+def cache_from_args(parser: argparse.ArgumentParser,
+                    args: argparse.Namespace) -> Optional[ArtifactCache]:
+    """The cache selected by :func:`add_cache_arguments`' flags (None
+    under ``--no-cache``), cleared first under ``--clear-cache``."""
+    if args.no_cache:
+        return None
+    cache = _open_cache(parser, args.cache_dir)
+    if args.clear_cache:
+        cache.clear()
+    return cache
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro cache",
         description="Inspect and manage the on-disk artifact cache")
     parser.add_argument("action", choices=("stats", "evict", "clear"))
     parser.add_argument("--cache-dir", metavar="DIR", default=None,
-                        help="artifact cache directory (default: "
-                             "$REPRO_CACHE_DIR or ~/.cache/repro-ccm)")
-    parser.add_argument("--budget", metavar="BYTES", default=None,
+                        help=_CACHE_DIR_HELP)
+    parser.add_argument("--budget", metavar="BYTES", type=byte_count,
+                        default=None,
                         help="size budget for 'evict' (accepts K/M/G "
                              "suffixes; default: $REPRO_CACHE_BUDGET)")
     parser.add_argument("--json", metavar="PATH", nargs="?", const="-",
@@ -56,10 +96,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
-    budget = parse_bytes(args.budget) if args.budget is not None else None
-    cache = ArtifactCache(args.cache_dir or default_cache_dir(),
-                          version="cli", budget_bytes=budget)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    cache = _open_cache(parser, args.cache_dir, version="cli",
+                        budget_bytes=args.budget)
 
     if args.action == "clear":
         before = cache.stats()

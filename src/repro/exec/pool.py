@@ -14,14 +14,12 @@ plain result dataclasses (outcomes + statistics), never live
 
 Teardown is bounded everywhere: :meth:`JobPool.close` cancels pending
 work, gives running jobs a drain window, then terminates stragglers —
-a Ctrl-C'd sweep or a SIGTERM'd ``repro.serve`` daemon never orphans
-worker processes.
+a Ctrl-C'd or SIGTERM'd sweep never orphans worker processes.
 """
 
 from __future__ import annotations
 
 import os
-import threading
 import time
 from typing import Callable, Iterable, Iterator, List, Optional, Tuple
 
@@ -97,23 +95,15 @@ class _DoneFuture:
     def done(self) -> bool:
         return True
 
-    def cancel(self) -> bool:
-        return False
-
-    def add_done_callback(self, fn) -> None:
-        fn(self)
-
 
 class JobPool:
     """A persistent worker pool for dependency-driven job graphs.
 
-    :func:`run_jobs` is the right engine for one flat batch; schedulers
-    that release work incrementally — the SCC-wave whole-program driver,
-    where a caller's job cannot be built until its callees' high-water
-    marks exist, and the ``repro.serve`` daemon, which multiplexes every
-    request onto one long-lived pool — need to keep one pool alive
-    across many small submit rounds instead of paying executor start-up
-    per round.
+    :func:`run_jobs` is the right engine for one flat batch; a scheduler
+    that releases work incrementally — the SCC-wave whole-program
+    driver, where a caller's job cannot be built until its callees'
+    high-water marks exist — needs to keep one pool alive across many
+    small submit rounds instead of paying executor start-up per round.
 
     ``jobs <= 1`` (or a host without working multiprocessing) runs every
     job inline at :meth:`submit` and returns an already-completed
@@ -124,8 +114,6 @@ class JobPool:
     def __init__(self, jobs: int = 1):
         self.jobs = max(jobs, 1)
         self._pool = None
-        self._lock = threading.Lock()
-        self._outstanding: set = set()
         if self.jobs > 1:
             try:
                 from concurrent.futures import ProcessPoolExecutor
@@ -143,15 +131,7 @@ class JobPool:
                 return _DoneFuture(fn(*args))
             except BaseException as exc:  # noqa: BLE001 - mirrors Future
                 return _DoneFuture(error=exc)
-        future = self._pool.submit(fn, *args)
-        with self._lock:
-            self._outstanding.add(future)
-        future.add_done_callback(self._retire)
-        return future
-
-    def _retire(self, future) -> None:
-        with self._lock:
-            self._outstanding.discard(future)
+        return self._pool.submit(fn, *args)
 
     def wait_any(self, futures: Iterable) -> List:
         """Block until at least one future completes; returns the done
@@ -163,17 +143,6 @@ class JobPool:
         from concurrent.futures import FIRST_COMPLETED, wait
         result = wait(futures, return_when=FIRST_COMPLETED)
         return list(result.done)
-
-    def drain(self, timeout: Optional[float] = None) -> bool:
-        """Wait up to ``timeout`` seconds for every outstanding future;
-        True when nothing is left in flight."""
-        with self._lock:
-            pending = [f for f in self._outstanding if not f.done()]
-        if not pending:
-            return True
-        from concurrent.futures import wait
-        result = wait(pending, timeout=timeout)
-        return not result.not_done
 
     def close(self, timeout: Optional[float] = DRAIN_TIMEOUT_S) -> bool:
         """Graceful bounded shutdown: cancel pending work, give running
@@ -189,11 +158,6 @@ class JobPool:
         if pool is None:
             return True
         from multiprocessing.connection import wait as wait_for_exit
-        with self._lock:
-            pending = list(self._outstanding)
-            self._outstanding.clear()
-        for future in pending:
-            future.cancel()
         # snapshot the worker processes BEFORE shutdown: the executor
         # drops its _processes reference during shutdown(wait=False)
         procs = getattr(pool, "_processes", None)
@@ -220,10 +184,6 @@ class JobPool:
                 proc.kill()
                 proc.join(1.0)
         return clean
-
-    def shutdown(self) -> None:
-        """Backwards-compatible alias for :meth:`close`."""
-        self.close()
 
     def __enter__(self) -> "JobPool":
         return self

@@ -94,8 +94,6 @@ class SweepStats:
     cache_hits: int = 0          # jobs served from the artifact cache
     cache_errors: int = 0        # corrupt/unreadable entries recovered
     cache_stores: int = 0        # artifact-cache entries written
-    coalesced: int = 0           # jobs served by an identical in-flight
-                                 # or memoized job (serve single-flight)
     wall_s: float = 0.0          # whole-sweep wall clock (parent)
     stages: Dict[str, StageStat] = field(default_factory=dict)
     #: trace counters summed across every traced job (``--trace``); a
@@ -162,7 +160,6 @@ class SweepStats:
                 "stores": self.cache_stores,
                 "hit_rate": round(self.cache_hit_rate, 4),
             },
-            "coalesced": self.coalesced,
             "wall_s": round(self.wall_s, 3),
             "stages": {name: stat.to_json()
                        for name, stat in sorted(self.rolled_stages().items())},

@@ -31,10 +31,8 @@ the working set flat:
   one: a callee's reported mark already folds in its whole subtree.
   Routines instantiated from one template (clone families) with equal
   callee marks share one in-run compile — many-routines-one-compile
-  falls out of the key, the way batched request coalescing was
-  predicted to in the compile-service roadmap — and the same key
-  addresses the persistent :class:`~repro.exec.ArtifactCache`, so a
-  warm re-run compiles nothing.
+  falls out of the key — and the same key addresses the persistent
+  :class:`~repro.exec.ArtifactCache`, so a warm re-run compiles nothing.
 
 * **Streaming aggregation.**  Workers return compact outcome records,
   never ``Program`` objects; the parent folds each record into
@@ -364,8 +362,7 @@ def compile_whole_program(app, machine: MachineConfig, jobs: int = 1,
                           stats: Optional[SweepStats] = None,
                           keep_routines: bool = False,
                           coalesce: bool = True,
-                          stream: Optional[Callable[[str, dict], None]] = None,
-                          pool: Optional[JobPool] = None
+                          stream: Optional[Callable[[str, dict], None]] = None
                           ) -> WholeProgramReport:
     """Compile an :class:`~repro.workloads.appgen.Application` with the
     SCC-wave engine.
@@ -374,14 +371,8 @@ def compile_whole_program(app, machine: MachineConfig, jobs: int = 1,
     the plain bottom-up walk, one compile per routine, no reuse.
     ``stream`` receives ``(name, row)`` for every routine as its SCC
     resolves — rows are not retained unless ``keep_routines=True``.
-    ``pool`` lends an external persistent :class:`JobPool` (the
-    ``repro.serve`` daemon multiplexes every request onto one warm
-    pool); the caller keeps ownership — it is not closed here — and
-    its worker count overrides ``jobs``.
     """
     start = time.perf_counter()
-    if pool is not None:
-        jobs = pool.jobs
     stats = stats if stats is not None else SweepStats(jobs=max(jobs, 1))
     stats.jobs = max(stats.jobs, jobs, 1)
     adjacency = app.adjacency()
@@ -451,9 +442,7 @@ def compile_whole_program(app, machine: MachineConfig, jobs: int = 1,
             if remaining_deps[caller] == 0:
                 ready.append(caller)
 
-    own_pool = pool is None
-    if own_pool:
-        pool = JobPool(jobs)
+    pool = JobPool(jobs)
     try:
         while ready or inflight:
             # release everything whose callees are resolved
@@ -500,8 +489,7 @@ def compile_whole_program(app, machine: MachineConfig, jobs: int = 1,
                 for name in members:
                     finish_routine(name, outcome)
     finally:
-        if own_pool:
-            pool.close()
+        pool.close()
 
     report.wall_s = time.perf_counter() - start
     stats.wall_s += report.wall_s
@@ -581,7 +569,7 @@ def cli_main(argv=None) -> int:
     from ..machine import PAPER_MACHINE_512
     from ..workloads.appgen import AppProfile, generate_application
     from .argtypes import nonnegative_int, positive_int
-    from .artifacts import default_cache_dir
+    from .cache_cli import add_cache_arguments, cache_from_args
     from .pool import default_jobs
 
     parser = argparse.ArgumentParser(
@@ -614,13 +602,7 @@ def cli_main(argv=None) -> int:
                         default=None,
                         help="write engine statistics JSON to PATH, or "
                              "stderr when PATH is omitted")
-    parser.add_argument("--cache-dir", metavar="DIR", default=None,
-                        help="artifact cache directory (default: "
-                             "$REPRO_CACHE_DIR or ~/.cache/repro-ccm)")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="disable the on-disk artifact cache")
-    parser.add_argument("--clear-cache", action="store_true",
-                        help="empty the artifact cache before running")
+    add_cache_arguments(parser)
     parser.add_argument("--report", metavar="PATH", default=None,
                         help="write the aggregated report JSON to PATH")
     parser.add_argument("--stream", metavar="PATH", default=None,
@@ -633,10 +615,7 @@ def cli_main(argv=None) -> int:
         from dataclasses import replace
         machine = replace(machine, ccm_bytes=args.ccm)
     jobs = args.jobs if args.jobs is not None else default_jobs()
-    artifacts = (None if args.no_cache or args.serial_walk
-                 else ArtifactCache(args.cache_dir or default_cache_dir()))
-    if args.clear_cache and artifacts is not None:
-        artifacts.clear()
+    artifacts = None if args.serial_walk else cache_from_args(parser, args)
 
     profile = AppProfile(n_routines=args.routines, seed=args.seed,
                          levels=args.levels)

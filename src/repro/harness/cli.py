@@ -28,8 +28,9 @@ import sys
 import time
 from typing import List, Optional
 
-from ..exec import ArtifactCache, default_cache_dir, default_jobs
+from ..exec import default_jobs
 from ..exec.argtypes import nonnegative_int
+from ..exec.cache_cli import add_cache_arguments, cache_from_args
 from ..trace import TraceRecorder, format_summary, write_chrome_trace
 from ..workloads.suite import suite_names
 from .ablation import run_ablation
@@ -84,13 +85,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                         default=None,
                         help="write sweep statistics JSON to PATH, or "
                              "stderr when PATH is omitted")
-    parser.add_argument("--cache-dir", metavar="DIR", default=None,
-                        help="artifact cache directory (default: "
-                             "$REPRO_CACHE_DIR or ~/.cache/repro-ccm)")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="disable the on-disk artifact cache")
-    parser.add_argument("--clear-cache", action="store_true",
-                        help="empty the artifact cache before running")
+    add_cache_arguments(parser)
     parser.add_argument("--trace", action="store_true",
                         help="record per-pass pipeline spans/counters and "
                              "print a summary to stderr")
@@ -110,10 +105,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     workloads = args.routines
     jobs = args.jobs if args.jobs is not None else default_jobs()
-    artifacts = (None if args.no_cache
-                 else ArtifactCache(args.cache_dir or default_cache_dir()))
-    if args.clear_cache and artifacts is not None:
-        artifacts.clear()
+    artifacts = cache_from_args(parser, args)
     trace = args.trace or args.trace_out is not None
     recorder = TraceRecorder() if trace else None
     runner = ExperimentRunner(jobs=jobs, artifacts=artifacts,

@@ -27,6 +27,7 @@ import functools
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
+from .. import VARIANTS
 from ..ccm import (allocate_function_integrated, compact_spill_memory,
                    promote_spills_postpass)
 from ..exec import ArtifactCache, StageClock, SweepStats, run_jobs
@@ -38,8 +39,6 @@ from ..opt import optimize_program
 from ..regalloc import allocate_function, lower_calling_convention
 from ..trace import TraceRecorder, recording
 from ..workloads.suite import build_routine, suite_names
-
-VARIANTS = ("baseline", "postpass", "postpass_cg", "integrated")
 
 #: backwards-compatible alias; the definition lives in repro.exec.compare
 #: so the harness verifier and the difftest oracle share one tolerance

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from ..frontend import compile_source
+from .. import frontend   # see the note in .suite
 from ..ir import Program
 from .generator import generate_program_source
 from .suite import routine_profile
@@ -46,4 +46,4 @@ def program_source(name: str, iters_scale: float = 0.35) -> str:
 
 def build_program(name: str) -> Program:
     """A fresh, unoptimized IR program for one Figure-3/4 program."""
-    return compile_source(program_source(name), name)
+    return frontend.compile_source(program_source(name), name)

@@ -74,6 +74,27 @@ class TestReproCli:
         with pytest.raises(SystemExit):
             repro_main(["run", kernel_file, "--variant", "bogus"])
 
+    @pytest.mark.parametrize("command", ["run", "emit"])
+    @pytest.mark.parametrize("source, message", [
+        ("func main(): int { return 1 + }", "expected an expression"),
+        ("func main(): int { return 1 $ 2 }", "unexpected character"),
+        ("func main(): int { return 1.0 }", "expected int, got float"),
+    ])
+    def test_malformed_source_is_one_line_error(self, tmp_path, capsys,
+                                                command, source, message):
+        path = tmp_path / "bad.mfl"
+        path.write_text(source)
+        assert repro_main([command, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"repro: error: {path}: ")
+        assert message in err and err.count("\n") == 1
+
+    def test_missing_file_is_one_line_error(self, tmp_path, capsys):
+        path = tmp_path / "nosuch.mfl"
+        assert repro_main(["run", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"repro: error: {path}: No such file or directory\n")
+
 
 class TestHarnessCli:
     def test_table1_subset(self, capsys):
@@ -98,14 +119,18 @@ class TestRangeChecks:
     the argument, never a traceback or a silently empty run."""
 
     @pytest.mark.parametrize("argv, argument", [
-        (["difftest", "--seeds", "-3"], "--seeds"),
-        (["difftest", "--ccm=-64"], "--ccm"),
-        (["table2", "--ccm", "-512"], "--ccm"),
-        (["table2", "--routines", "nosuch"], "--routines"),
-        (["--whole-program", "--routines", "0"], "--routines"),
+        (["harness", "difftest", "--seeds", "-3"], "--seeds"),
+        (["harness", "difftest", "--ccm=-64"], "--ccm"),
+        (["harness", "table2", "--ccm", "-512"], "--ccm"),
+        (["harness", "table2", "--routines", "nosuch"], "--routines"),
+        (["harness", "--whole-program", "--routines", "0"], "--routines"),
+        (["run", "kernel.mfl", "--args", "x"], "--args"),
+        (["run", "kernel.mfl", "--ccm", "-8"], "--ccm"),
+        (["emit", "kernel.mfl", "--ccm", "-8"], "--ccm"),
+        (["cache", "evict", "--budget", "12Q"], "--budget"),
     ])
     def test_usage_error_names_argument(self, argv, argument, capsys):
         with pytest.raises(SystemExit) as info:
-            harness_main(argv)
+            repro_main(argv)
         assert info.value.code == 2
         assert f"argument {argument}" in capsys.readouterr().err

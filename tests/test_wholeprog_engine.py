@@ -16,9 +16,9 @@ import sys
 
 import pytest
 
-from repro.exec import (ArtifactCache, SweepStats, compile_whole_program,
-                        monolithic_report)
-from repro.exec.wholeprog import SccSchedule, scc_schedule_json
+from repro.exec import ArtifactCache, SweepStats
+from repro.exec.wholeprog import (SccSchedule, compile_whole_program,
+                                  monolithic_report, scc_schedule_json)
 from repro.machine import PAPER_MACHINE_512
 from repro.workloads import AppProfile, generate_application
 
