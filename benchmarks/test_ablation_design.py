@@ -1,6 +1,6 @@
 """Design-choice ablations (DESIGN.md section 5).
 
-Three knobs the paper fixes implicitly, measured explicitly here:
+Two knobs the paper fixes implicitly, measured explicitly here:
 
 1. **Cost-ordered CCM packing** — the post-pass allocator places webs
    most-expensive-first, so when the CCM fills, cold webs are the ones
@@ -9,9 +9,6 @@ Three knobs the paper fixes implicitly, measured explicitly here:
    promotion lengthens live ranges; the CCM's benefit should *grow*
    when the optimizer works harder, because there is more spill traffic
    to accelerate.
-3. **Scheduling** (section 4.3) — on the pipelined-load model, list
-   scheduling hides load latency; CCM and scheduling compose because
-   fewer 2-cycle loads exist to hide.
 """
 
 import pytest
@@ -24,7 +21,6 @@ from repro.harness.experiment import compile_program
 from repro.machine import MachineConfig, Simulator
 from repro.opt import optimize_program
 from repro.regalloc import allocate_function, lower_calling_convention
-from repro.schedule import schedule_program
 from repro.workloads import build_routine, routine_source
 
 ROUTINES = ["twldrv", "fpppp", "jacld"]
@@ -107,34 +103,3 @@ def test_licm_increases_ccm_benefit(benchmark):
     assert saved_plain > 0
     assert saved_licm >= saved_plain * 0.9  # LICM never erases the win
 
-
-def test_scheduling_composes_with_ccm(benchmark):
-    """Section 4.3: scheduling hides load latency; with CCM there are
-    fewer 2-cycle loads to hide, and the combination is fastest."""
-    machine = MachineConfig(ccm_bytes=1024, pipelined_loads=True)
-
-    def configure(variant, scheduled):
-        prog = build_routine("supp")
-        compile_program(prog, machine, variant)
-        if scheduled:
-            schedule_program(prog, machine)
-        return Simulator(prog, machine,
-                         poison_caller_saved=True).run().stats
-
-    def run():
-        return {
-            "base": configure("baseline", False),
-            "base+sched": configure("baseline", True),
-            "ccm": configure("postpass_cg", False),
-            "ccm+sched": configure("postpass_cg", True),
-        }
-
-    stats = run_once(benchmark, run)
-    print()
-    for name, s in stats.items():
-        print(f"  {name:12s} cycles {s.cycles:8d}  stalls {s.stall_cycles:6d}")
-    assert stats["base+sched"].cycles <= stats["base"].cycles
-    assert stats["ccm+sched"].cycles <= stats["ccm"].cycles
-    assert stats["ccm+sched"].cycles <= stats["base+sched"].cycles
-    # scheduling removes stalls
-    assert stats["base+sched"].stall_cycles <= stats["base"].stall_cycles

@@ -79,27 +79,6 @@ def test_sim_throughput(benchmark, compiled, routine):
 
 
 @pytest.mark.parametrize("routine", ROUTINES)
-def test_sim_throughput_pipelined(benchmark, compiled, routine):
-    """The scoreboard loop (pipelined loads) is the driver's slower
-    path; watch it separately so it cannot silently regress."""
-    import dataclasses
-
-    prog = compiled[routine]
-    machine = dataclasses.replace(PAPER_MACHINE_512, pipelined_loads=True)
-
-    def simulate():
-        return Simulator(prog, machine).run()
-
-    result = benchmark.pedantic(simulate, rounds=3, iterations=1,
-                                warmup_rounds=1)
-    assert result.stats.instructions > 0
-    benchmark.extra_info["routine"] = routine
-    benchmark.extra_info["instructions"] = result.stats.instructions
-    benchmark.extra_info["instructions_per_second"] = round(
-        result.stats.instructions / benchmark.stats.stats.mean)
-
-
-@pytest.mark.parametrize("routine", ROUTINES)
 def test_sim_batch_throughput(benchmark, compiled, routine):
     """Batched configs/second: one shared pass, BATCH_WIDTH members."""
     prog = compiled[routine]

@@ -17,14 +17,13 @@ reproducer, and with ``--save-corpus`` the reproducer is written to
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from typing import List, Optional
 
 from ..exec import SweepStats, default_jobs
 from ..exec.argtypes import nonnegative_int, positive_int
 from ..exec.cache_cli import add_cache_arguments, cache_from_args
-from ..regalloc import set_regalloc_engine
+from ..regalloc.engine import ENGINES, apply_regalloc_engine
 from ..trace import TraceRecorder, format_summary, write_chrome_trace
 from .corpus import save_corpus_entry
 from .gen import generate_source
@@ -48,9 +47,6 @@ def _parse_ccm_sizes(text: str) -> List[int]:
     return sizes
 
 
-_ALLOCATORS = ("chaitin", "ssa", "ssa-everywhere")
-
-
 def _parse_allocators(text: str) -> List[Optional[str]]:
     names: List[Optional[str]] = []
     for part in text.split(","):
@@ -61,12 +57,12 @@ def _parse_allocators(text: str) -> List[Optional[str]]:
         if base == "default":
             # follow REPRO_REGALLOC_ENGINE (optionally without remat)
             names.append(None if base == part else "-noremat")
-        elif base in _ALLOCATORS:
+        elif base in ENGINES:
             names.append(part)
         else:
             raise argparse.ArgumentTypeError(
                 f"unknown allocator {part!r} (choose from "
-                f"{', '.join(_ALLOCATORS)} or 'default', each optionally "
+                f"{', '.join(ENGINES)} or 'default', each optionally "
                 f"suffixed '-noremat' to disable rematerialization)")
     if not names:
         raise argparse.ArgumentTypeError("need at least one allocator")
@@ -106,7 +102,7 @@ def build_parser(parser: Optional[argparse.ArgumentParser] = None
                              "'chaitin,ssa' doubles the lattice to "
                              "cross-check the two backends.")
     parser.add_argument("--regalloc-engine",
-                        choices=_ALLOCATORS, default=None,
+                        choices=ENGINES, default=None,
                         help="process-wide register-allocator backend "
                              "(what 'default' in --allocators resolves "
                              "to). Exported to worker processes via "
@@ -154,11 +150,7 @@ def _reduce_divergence(seed: int, config_names: List[str],
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.regalloc_engine is not None:
-        # both for this process and for spawned sweep workers, which
-        # re-read the environment at import
-        os.environ["REPRO_REGALLOC_ENGINE"] = args.regalloc_engine
-        set_regalloc_engine(args.regalloc_engine)
+    apply_regalloc_engine(parser, args.regalloc_engine)
     configs = config_lattice(tuple(args.ccm), geometry=args.machine,
                              allocators=tuple(args.allocators))
 

@@ -454,9 +454,8 @@ def check_source(source: str, configs: Optional[Sequence[DiffConfig]] = None,
     ``clock``, if given, accumulates stage timings so SweepStats can
     report where a sweep's wall time actually goes: "compile" (front
     end + pipeline + allocation), "group" (batch keying), "execute"
-    (the reference run), "execute.batch" (shared lattice passes) and
-    "execute.scalar" (per-member fallbacks); ``--stats`` rolls the
-    last three up into "execute".
+    (the reference run) and "execute.batch" (shared lattice passes);
+    ``--stats`` rolls the last two up into "execute".
     """
     configs = list(configs) if configs is not None else config_lattice()
     key = None
@@ -598,9 +597,8 @@ def _check_all_batched(stages: _StageCache, configs: Sequence[DiffConfig],
     lattice order — each outcome is bit-identical to a scalar run of
     that config, only the execute stage is shared.  Stage clocks:
     ``compile`` per config, ``group`` for fingerprinting (also traced
-    as ``difftest.batch_key`` spans), ``execute.batch`` for shared
-    passes and ``execute.scalar`` for per-member fallbacks (the
-    reference run stays in ``execute``).
+    as ``difftest.batch_key`` spans) and ``execute.batch`` for shared
+    passes (the reference run stays in ``execute``).
 
     The 52 default configs compile to about ten distinct programs, so
     :func:`verify_program` runs once per :func:`program_fingerprint`

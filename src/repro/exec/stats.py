@@ -130,8 +130,7 @@ class SweepStats:
         """Stages plus parent roll-ups for dotted sub-stage names.
 
         A stage's parts carry a dotted suffix — the difftest runner
-        records ``execute.batch`` (shared lattice passes) and
-        ``execute.scalar`` (per-member fallback runs) next to plain
+        records ``execute.batch`` (shared lattice passes) next to plain
         ``execute`` (the reference run).  Rolling sub-stages up into
         their parent makes ``stages.execute`` the whole simulation
         time in ``--stats`` output, while the sub-stage entries

@@ -567,6 +567,7 @@ def cli_main(argv=None) -> int:
     import sys
 
     from ..machine import PAPER_MACHINE_512
+    from ..regalloc.engine import apply_regalloc_engine
     from ..workloads.appgen import AppProfile, generate_application
     from .argtypes import nonnegative_int, positive_int
     from .cache_cli import add_cache_arguments, cache_from_args
@@ -609,6 +610,7 @@ def cli_main(argv=None) -> int:
                         help="stream one JSON row per routine to PATH "
                              "(JSONL) as SCCs resolve")
     args = parser.parse_args(argv)
+    apply_regalloc_engine(parser, None)
 
     machine = PAPER_MACHINE_512
     if args.ccm is not None:

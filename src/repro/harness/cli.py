@@ -31,6 +31,7 @@ from typing import List, Optional
 from ..exec import default_jobs
 from ..exec.argtypes import nonnegative_int
 from ..exec.cache_cli import add_cache_arguments, cache_from_args
+from ..regalloc.engine import ENGINES, apply_regalloc_engine
 from ..trace import TraceRecorder, format_summary, write_chrome_trace
 from ..workloads.suite import suite_names
 from .ablation import run_ablation
@@ -70,8 +71,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--routines", type=_routine_list, default=None,
                         help="comma-separated routine subset")
     parser.add_argument("--regalloc-engine",
-                        choices=("chaitin", "ssa", "ssa-everywhere"),
-                        default=None,
+                        choices=ENGINES, default=None,
                         help="register-allocator backend: 'chaitin' "
                              "(Chaitin-Briggs; default), 'ssa' (SSA-form "
                              "spilling with load/store range splitting) "
@@ -93,15 +93,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="write the trace as Chrome trace_event JSON "
                              "(implies --trace)")
     args = parser.parse_args(argv)
-
-    if args.regalloc_engine is not None:
-        # both for this process and for spawned sweep workers, which
-        # re-read the environment at import
-        import os
-
-        from ..regalloc import set_regalloc_engine
-        os.environ["REPRO_REGALLOC_ENGINE"] = args.regalloc_engine
-        set_regalloc_engine(args.regalloc_engine)
+    apply_regalloc_engine(parser, args.regalloc_engine)
 
     workloads = args.routines
     jobs = args.jobs if args.jobs is not None else default_jobs()

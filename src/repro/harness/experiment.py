@@ -40,10 +40,6 @@ from ..regalloc import allocate_function, lower_calling_convention
 from ..trace import TraceRecorder, recording
 from ..workloads.suite import build_routine, suite_names
 
-#: backwards-compatible alias; the definition lives in repro.exec.compare
-#: so the harness verifier and the difftest oracle share one tolerance
-_values_match = values_match
-
 
 @dataclass
 class VariantResult:

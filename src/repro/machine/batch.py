@@ -39,10 +39,10 @@ per-instruction dispatch cost once per config.  A batch pays it once:
   caches in lockstep over the one architectural address stream —
   struct-of-arrays state: flat tag arrays, per-set occupancy, victim
   and write-buffer bookkeeping, and per-member latency accumulators.
-* **Scalar fallback.**  ``pipelined_loads`` machines interleave the
-  stall scoreboard with execution and cannot share a pass; such
-  members fall back to per-member scalar runs (attributed separately,
-  see ``execute.scalar``).
+
+Every member rides the shared pass: the simulator has one timing model
+(each instruction charges its latency up front, with no interlocks), so
+no machine configuration needs a run of its own.
 
 Bit-identity with scalar :class:`~.simulator.Simulator` runs is a hard
 contract enforced by ``tests/test_sim_batch_fuzz.py`` (batch vs scalar
@@ -62,7 +62,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from ..ir import Opcode, Program
 from ..ir.operands import VirtualReg
 from ..trace import current as _trace_current
-from .cache import CacheConfig, CacheStats, DataCache
+from .cache import CacheConfig, CacheStats
 from .predecode import drive, run_stats
 from .simulator import RunResult, SimulationError, Simulator, count_run
 from .target import MachineConfig
@@ -89,8 +89,8 @@ def arch_signature(machine: MachineConfig) -> Tuple[int, ...]:
     """The architecturally-visible slice of a machine configuration.
 
     Members of one batch must agree on this; everything else
-    (latencies, ``pipelined_loads``, ``n_args``) only affects timing
-    and is fanned out per member.  ``ccm_bytes`` is deliberately *not*
+    (latencies, ``n_args``) only affects timing and is fanned out per
+    member.  ``ccm_bytes`` is deliberately *not*
     part of the signature even though the CCM bounds trap can observe
     it: the shared pass runs under the largest member limit and
     validates against the dynamic CCM high-water mark afterwards,
@@ -340,11 +340,9 @@ class BatchSimulation:
     actually diverge (watermark reached, or any trap with mixed limits
     on board) ``run`` raises :class:`BatchSplit` and the caller
     re-dispatches each of its ``groups`` as a strict single-limit
-    batch.  A ``clock``
-    with a ``stage(name)`` context manager (e.g.
-    :class:`repro.exec.StageClock`) attributes wall time to
-    ``execute.batch`` (the shared pass) vs ``execute.scalar`` (the
-    per-member pipelined-load fallback).
+    batch.  A ``clock`` with a ``stage(name)`` context manager (e.g.
+    :class:`repro.exec.StageClock`) attributes the shared pass's wall
+    time to ``execute.batch``.
     """
 
     def __init__(self, program: Program,
@@ -353,11 +351,7 @@ class BatchSimulation:
                  profile: bool = False, clock=None):
         if not members:
             raise ValueError("a batch needs at least one member")
-        self.program = program
         self.members = [_as_member(m) for m in members]
-        self.fuel = fuel
-        self.poison_caller_saved = poison_caller_saved
-        self.profile = profile
         self.clock = clock
         sig = arch_signature(self.members[0].machine)
         for member in self.members[1:]:
@@ -366,31 +360,25 @@ class BatchSimulation:
                 raise ValueError(
                     f"batch members disagree architecturally: "
                     f"{other} != {sig}")
-        self._batched = [i for i, m in enumerate(self.members)
-                         if not m.machine.pipelined_loads]
-        self._fallback = [i for i, m in enumerate(self.members)
-                          if m.machine.pipelined_loads]
         self._mixed_ccm = len({m.machine.ccm_bytes
                                for m in self.members}) > 1
-        # canonical: the largest-limit batched member, so the shared
-        # pass can only under- never over-trap; for a single-limit
-        # batch any member is the same machine architecturally
-        canonical = self.members[max(
-            self._batched or [0],
-            key=lambda i: self.members[i].machine.ccm_bytes)].machine
+        # canonical: the largest-limit member, so the shared pass can
+        # only under- never over-trap; for a single-limit batch any
+        # member is the same machine architecturally
+        canonical = max((m.machine for m in self.members),
+                        key=lambda machine: machine.ccm_bytes)
         # the architectural state holder: one Simulator on the
         # canonical machine (globals layout, memory, CCM, physical file)
         # shared by the whole batched pass
         self._sim = Simulator(program, canonical, fuel=fuel,
                               poison_caller_saved=poison_caller_saved,
                               profile=profile)
-        self._snapshot_sim = self._sim
 
     def globals_snapshot(self) -> Dict[str, tuple]:
         """Final global-array contents — identical for every member, so
         one shared snapshot serves the whole batch (valid after a trap
         too: the trap state is architecturally shared)."""
-        return self._snapshot_sim.globals_snapshot()
+        return self._sim.globals_snapshot()
 
     def _split_groups(self) -> List[List[int]]:
         """Member positions partitioned by ``ccm_bytes``, insertion-
@@ -410,24 +398,26 @@ class BatchSimulation:
             recorder.counter("sim.batch.splits")
         return BatchSplit(self._split_groups())
 
-    def _run_shared(self, entry: Optional[str], args: Sequence,
-                    recorder) -> List[RunResult]:
+    def run(self, entry: Optional[str] = None,
+            args: Sequence = ()) -> List[RunResult]:
         """The one architectural pass, fanned out into one
-        :class:`RunResult` per batched member.
+        :class:`RunResult` per member.
 
         Any :class:`SimulationError` applies identically to every
         member — architectural determinism is exactly what admitted
         them to the batch.  On a trap the shared simulator's memory and
         globals hold the (shared) post-trap state."""
-        members = [self.members[i] for i in self._batched]
+        recorder = _trace_current()
+        if recorder is not None:
+            recorder.counter("sim.batch.groups")
+            recorder.counter("sim.batch.members", len(self.members))
+        members = self.members
         caches = None
         if any(m.cache is not None for m in members):
             caches = BatchedCaches([m.cache for m in members])
-        self._snapshot_sim = self._sim
         try:
             with _staged(self.clock, "execute.batch"):
-                value, n, _, counts, eng = drive(self._sim, entry, args,
-                                                 caches)
+                value, n, counts, eng = drive(self._sim, entry, args, caches)
         except SimulationError:
             if self._mixed_ccm:
                 # smaller-limit members may have trapped earlier, and
@@ -452,46 +442,13 @@ class BatchSimulation:
             main_cycles = (caches.lat[i] if cstats is not None
                            else plain_ops * machine.memory_latency)
             stats = run_stats(
-                eng, n, 0, dict(counts) if counts is not None else None,
+                eng, n, dict(counts) if counts is not None else None,
                 machine, main_cycles + ccm_ops * machine.ccm_latency)
             stats.cache = cstats
+            if recorder is not None:
+                count_run(recorder, stats)
             results.append(RunResult(value, stats))
         return results
-
-    def run(self, entry: Optional[str] = None,
-            args: Sequence = ()) -> List[RunResult]:
-        recorder = _trace_current()
-        if recorder is not None:
-            recorder.counter("sim.batch.groups")
-            recorder.counter("sim.batch.members", len(self._batched))
-            recorder.counter("sim.batch.fallbacks", len(self._fallback))
-        results: List[Optional[RunResult]] = [None] * len(self.members)
-        if self._batched:
-            shared = self._run_shared(entry, args, recorder)
-            for slot, result in zip(self._batched, shared):
-                results[slot] = result
-                if recorder is not None:
-                    count_run(recorder, result.stats)
-        for i in self._fallback:
-            member = self.members[i]
-            sim = Simulator(self.program, member.machine,
-                            cache=(DataCache(member.cache)
-                                   if member.cache is not None else None),
-                            fuel=self.fuel,
-                            poison_caller_saved=self.poison_caller_saved,
-                            profile=self.profile)
-            self._snapshot_sim = sim
-            try:
-                with _staged(self.clock, "execute.scalar"):
-                    results[i] = sim.run(entry, args)
-            except SimulationError:
-                # a fallback member runs under its *own* limit, so its
-                # trap is shared only with its limit class
-                if self._mixed_ccm:
-                    raise self._split(recorder) from None
-                raise
-        return results  # type: ignore[return-value]
-
 
 def _staged(clock, name: str):
     """``clock.stage(name)`` when a clock is attached (duck-typed to

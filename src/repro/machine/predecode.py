@@ -42,11 +42,7 @@ closures do no accounting at all, because every non-memory instruction
 charges exactly ``default_latency`` to ``op_cycles`` — so at the end of
 the run ``op_cycles = (instructions - memory_ops) * default_latency``
 and ``cycles`` follows from the bucket identity.  Only memory closures
-touch a counter.  Under ``pipelined_loads`` the loop keeps an absolute
-cycle clock for the ``_ready_at`` scoreboard, which moves to
-program-global integer keys with lazy pruning (stale entries yield a
-non-positive stall and are dropped in one sweep at run end, replicating
-the interpreter's eagerly-pruned final state).
+touch a counter.
 """
 
 from __future__ import annotations
@@ -159,19 +155,6 @@ def _phys_slot(reg: PhysReg) -> int:
     """Canonical flat-file slot: classes interleaved, so the layout is
     machine-independent and any index maps to a unique slot."""
     return reg.index * 2 + (1 if reg.rclass is RegClass.FLOAT else 0)
-
-
-def _score_key(reg) -> int:
-    """Program-global scoreboard key for the pipelined-load interlock.
-
-    Virtual registers compare by value, so the interpreter's scoreboard
-    conflates same-named vregs *across frames and functions*; these
-    integer keys replicate that aliasing exactly.
-    """
-    f = 1 if reg.rclass is RegClass.FLOAT else 0
-    if isinstance(reg, VirtualReg):
-        return reg.index * 4 + 2 + f
-    return reg.index * 4 + f
 
 
 # -- instruction compilation ----------------------------------------------------
@@ -808,38 +791,13 @@ def _decode(fn, machine, has_cache: bool) -> DecodedFunction:
     # number the parameters first so the slot layout is stable
     param_descs = tuple(dec.desc(p) for p in fn.params)
     blocks = {b.label: _DBlock(fn.name, b.label) for b in fn.blocks}
-    pipelined = machine.pipelined_loads
     for b in fn.blocks:
         steps = blocks[b.label].steps
         for instr in b.instructions:
-            core = dec.compile(instr, blocks)
-            if pipelined:
-                steps.append(_pipelined_step(instr, core))
-            else:
-                steps.append(core)
-        sentinel = _make_felloff(fn.name, b.label)
-        steps.append((sentinel, (), (), None, False) if pipelined
-                     else sentinel)
+            steps.append(dec.compile(instr, blocks))
+        steps.append(_make_felloff(fn.name, b.label))
     return DecodedFunction(fn, fn.name, fn.frame_size, dec.n_vslots,
                            param_descs, blocks[fn.entry.label], blocks)
-
-
-def _pipelined_step(instr, core):
-    """Step record ``(core, src_keys, dst_keys, defer_key, is_mem)``.
-
-    CALL/RET/HALT return early in the interpreter and skip its
-    scoreboard pop, so their ``dst_keys`` stay empty; every instruction
-    still stalls on its sources (the prelude runs before dispatch).
-    """
-    meta = instr.meta
-    skeys = tuple(_score_key(r) for r in instr.srcs)
-    if instr.opcode in (Opcode.CALL, Opcode.RET, Opcode.HALT):
-        return (core, skeys, (), None, False)
-    dkeys = tuple(_score_key(r) for r in instr.dsts)
-    is_mem = meta.is_main_memory or meta.is_ccm
-    defer_key = (_score_key(instr.dsts[0])
-                 if meta.is_load and meta.is_main_memory else None)
-    return (core, skeys, dkeys, defer_key, is_mem)
 
 
 # -- the engine -------------------------------------------------------------------
@@ -917,11 +875,11 @@ def drive(sim, entry: Optional[str], args, cache):
     """Execute ``sim.program`` from ``entry`` on ``sim.machine``.
 
     Mutates the simulator's persistent state (``memory``, ``ccm``,
-    ``phys``, the pipelined-load scoreboard) exactly like the reference
-    interpreter, so repeated runs observe the same machine; memory
-    accesses go through ``cache`` (see :func:`_prepare_engine`).
-    Returns ``(value, instructions, stall_cycles, block_counts, eng)``;
-    ``eng`` carries the dynamic operation counts for :func:`run_stats`.
+    ``phys``) exactly like the reference interpreter, so repeated runs
+    observe the same machine; memory accesses go through ``cache`` (see
+    :func:`_prepare_engine`).  Returns ``(value, instructions,
+    block_counts, eng)``; ``eng`` carries the dynamic operation counts
+    for :func:`run_stats`.
     """
     program = sim.program
     entry = entry or program.entry_name
@@ -935,23 +893,16 @@ def drive(sim, entry: Optional[str], args, cache):
     eng.decoded[entry] = dfn
 
     counts: Optional[Dict] = {} if sim.profile else None
-    fuel = sim.fuel
-    poison = sim.poison_caller_saved
     try:
-        if machine.pipelined_loads:
-            value, n, stall = _loop_pipelined(
-                eng, dfn, args, fuel, poison, counts, sim._ready_at,
-                machine.default_latency)
-        else:
-            value, n = _loop_fast(eng, dfn, args, fuel, poison, counts)
-            stall = 0
+        value, n = _loop(eng, dfn, args, sim.fuel, sim.poison_caller_saved,
+                         counts)
     finally:
         _writeback_phys(sim, eng)
-    return value, n, stall, counts, eng
+    return value, n, counts, eng
 
 
-def run_stats(eng: "_Engine", n: int, stall: int, counts: Optional[Dict],
-              machine, memory_cycles: int) -> RunStats:
+def run_stats(eng: "_Engine", n: int, counts: Optional[Dict], machine,
+              memory_cycles: int) -> RunStats:
     """The :class:`RunStats` of one driven run under ``machine``.
 
     Every non-memory instruction charges exactly ``default_latency`` to
@@ -961,30 +912,23 @@ def run_stats(eng: "_Engine", n: int, stall: int, counts: Optional[Dict],
     mem_ops = eng.loads + eng.stores + eng.ccm_loads + eng.ccm_stores
     op_cycles = (n - mem_ops) * machine.default_latency
     return RunStats(
-        cycles=op_cycles + memory_cycles + stall,
+        cycles=op_cycles + memory_cycles,
         memory_cycles=memory_cycles, op_cycles=op_cycles,
         instructions=n, loads=eng.loads, stores=eng.stores,
         spill_stores=eng.spill_stores, spill_loads=eng.spill_loads,
         ccm_stores=eng.ccm_stores, ccm_loads=eng.ccm_loads,
-        calls=eng.calls, stall_cycles=stall, max_ccm_offset=eng.max_ccm,
-        block_counts=counts)
+        calls=eng.calls, max_ccm_offset=eng.max_ccm, block_counts=counts)
 
 
-def _entry_frame(eng, dfn, args, counts):
-    base = STACK_BASE - dfn.frame_size
+def _loop(eng, dfn, args, fuel, poison, counts):
+    """The main loop: bare closures, no accounting."""
     eng.depth = dfn.frame_size
-    frame = _DFrame(dfn, eng, base)
+    frame = _DFrame(dfn, eng, STACK_BASE - dfn.frame_size)
     files = frame.files
     for (f, x), value in zip(dfn.param_descs, args):
         files[f][x] = value
     if counts is not None:
         counts[dfn.entry.count_key] = 1
-    return frame
-
-
-def _loop_fast(eng, dfn, args, fuel, poison, counts):
-    """Main loop without pipelined loads: bare closures, no accounting."""
-    frame = _entry_frame(eng, dfn, args, counts)
     stack = [frame]
     steps = dfn.entry.steps
     idx = 0
@@ -1041,109 +985,3 @@ def _loop_fast(eng, dfn, args, fuel, poison, counts):
             idx = 0
             continue
         return None, n                          # _HALT
-
-
-def _loop_pipelined(eng, dfn, args, fuel, poison, counts, ready,
-                    default_latency):
-    """Main loop with the pipelined-load scoreboard (absolute clock).
-
-    The scoreboard is lazily pruned: stale entries yield a non-positive
-    stall and stay until redefinition.  One sweep at run end (with the
-    interpreter's last prune threshold) reproduces the eagerly-pruned
-    state the interpreter leaves behind for the next run.
-    """
-    frame = _entry_frame(eng, dfn, args, counts)
-    stack = [frame]
-    steps = dfn.entry.steps
-    idx = 0
-    n = 0
-    cycles = 0
-    stall_total = 0
-    last_prune = -1
-    try:
-        while True:
-            if n >= fuel:
-                raise OutOfFuel(
-                    f"exceeded {fuel} instructions in {frame.dfn.name}")
-            n += 1
-            step = steps[idx]
-            if ready:
-                stall = 0
-                for k in step[1]:
-                    r = ready.get(k)
-                    if r is not None:
-                        s = r - cycles
-                        if s > stall:
-                            stall = s
-                if stall > 0:
-                    cycles += stall
-                    stall_total += stall
-                last_prune = cycles
-            before = eng.memory_cycles
-            ctl = step[0](eng, frame)
-            for k in step[2]:                   # dst redefinitions
-                ready.pop(k, None)
-            if step[4]:                         # memory op
-                d = eng.memory_cycles - before
-                dk = step[3]
-                if dk is not None and d > 1:
-                    # the load issues in one cycle; the rest of the
-                    # latency is exposed only to too-early consumers
-                    ready[dk] = cycles + d
-                    eng.memory_cycles += 1 - d
-                    cycles += 1
-                else:
-                    cycles += d
-            else:
-                cycles += default_latency
-            if ctl is None:
-                idx += 1
-                continue
-            cls = ctl.__class__
-            if cls is _DBlock:
-                steps = ctl.steps
-                idx = 0
-                if counts is not None:
-                    key = ctl.count_key
-                    counts[key] = counts.get(key, 0) + 1
-                continue
-            if cls is tuple:                    # return
-                eng.depth -= frame.dfn.frame_size
-                stack.pop()
-                if not stack:
-                    return ctl[0], n, stall_total
-                prev_name = frame.dfn.name
-                frame = stack[-1]
-                if poison:
-                    phys = eng.phys
-                    for slot in frame.poison_slots:
-                        phys[slot] = POISON
-                rd = frame.ret_desc
-                if rd is not None:
-                    value = ctl[0]
-                    if value is None:
-                        raise SimulationError(
-                            f"{prev_name}: void return but caller "
-                            "expects a value")
-                    frame.files[rd[0]][rd[1]] = value
-                steps = frame.ret_steps
-                idx = frame.ret_idx
-                continue
-            if cls is _DFrame:                  # call
-                frame.ret_steps = steps
-                frame.ret_idx = idx + 1
-                stack.append(ctl)
-                frame = ctl
-                entry_block = ctl.dfn.entry
-                if counts is not None:
-                    key = entry_block.count_key
-                    counts[key] = counts.get(key, 0) + 1
-                steps = entry_block.steps
-                idx = 0
-                continue
-            return None, n, stall_total         # _HALT
-    finally:
-        if ready and last_prune >= 0:
-            stale = [k for k, c in ready.items() if c <= last_prune]
-            for k in stale:
-                del ready[k]

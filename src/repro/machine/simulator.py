@@ -78,13 +78,13 @@ POISON = _Poison()
 class RunStats:
     """Dynamic execution statistics for one simulation.
 
-    Cycle accounting is exhaustive and disjoint: every cycle the
-    simulator charges lands in exactly one of ``op_cycles`` (non-memory
-    instruction latencies), ``memory_cycles`` (main-memory, cache, and
-    CCM access latencies), or ``stall_cycles`` (pipelined-load
-    interlocks), so ``cycles == op_cycles + memory_cycles +
-    stall_cycles`` always holds — the property test over the fuzz
-    corpus enforces it, so no path can double-count or drop cycles.
+    Cycle accounting is exhaustive and disjoint: every instruction
+    charges its latency up front (there are no interlocks), and every
+    cycle lands in exactly one of ``op_cycles`` (non-memory instruction
+    latencies) or ``memory_cycles`` (main-memory, cache, and CCM access
+    latencies), so ``cycles == op_cycles + memory_cycles`` always holds
+    — the property test over the fuzz corpus enforces it, so no path
+    can double-count or drop cycles.
     """
 
     cycles: int = 0
@@ -98,7 +98,6 @@ class RunStats:
     ccm_stores: int = 0
     ccm_loads: int = 0
     calls: int = 0
-    stall_cycles: int = 0
     max_ccm_offset: int = -1
     cache: Optional[CacheStats] = None
     #: (function name, block label) -> executions; filled when the
@@ -148,10 +147,6 @@ class Simulator:
             for index in range(machine.n_regs(rclass)):
                 self.phys[PhysReg(index, rclass)] = zero
         self.global_base: Dict[str, int] = {}
-        # pipelined-load mode: absolute cycle at which each register's
-        # value becomes available (missing = already available); it
-        # persists across run() calls like the rest of the machine state
-        self._ready_at: Dict[object, int] = {}
         self._layout_globals()
 
     # -- memory layout ---------------------------------------------------------
@@ -198,17 +193,16 @@ class Simulator:
 
     def _run(self, entry: Optional[str], args: List) -> RunResult:
         from .predecode import drive, run_stats
-        value, n, stall, counts, eng = drive(self, entry, args, self.cache)
-        stats = run_stats(eng, n, stall, counts, self.machine,
-                          eng.memory_cycles)
+        value, n, counts, eng = drive(self, entry, args, self.cache)
+        stats = run_stats(eng, n, counts, self.machine, eng.memory_cycles)
         if self.cache is not None:
             stats.cache = self.cache.stats
         return RunResult(value, stats)
 
 
-_COUNTED_STATS = ("cycles", "memory_cycles", "op_cycles", "stall_cycles",
-                  "instructions", "loads", "stores", "spill_loads",
-                  "spill_stores", "ccm_loads", "ccm_stores", "calls")
+_COUNTED_STATS = ("cycles", "memory_cycles", "op_cycles", "instructions",
+                  "loads", "stores", "spill_loads", "spill_stores",
+                  "ccm_loads", "ccm_stores", "calls")
 
 
 def count_run(recorder, stats: RunStats) -> None:

@@ -33,14 +33,6 @@ class MachineConfig:
     memory_latency: int = 2
     ccm_latency: int = 1
 
-    #: When True, loads issue in one cycle and their result becomes
-    #: available ``memory_latency - 1`` cycles later; an instruction
-    #: reading a not-yet-ready register stalls the (single-issue, in-
-    #: order) pipeline.  This is the machine model under which
-    #: instruction scheduling (repro.schedule) can hide load latency —
-    #: the section 4.3 effect the paper declined to evaluate.
-    pipelined_loads: bool = False
-
     ccm_bytes: int = 512
 
     def n_regs(self, rclass: RegClass) -> int:

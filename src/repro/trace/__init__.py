@@ -7,8 +7,8 @@ pipeline stage* instead of only at the end of a run:
 
 * :mod:`repro.trace.recorder` — the span/counter core.  Every pipeline
   stage (frontend lowering, each scalar-opt pass, SSA build/destroy,
-  Chaitin-Briggs coloring rounds, CCM assignment, compaction,
-  scheduling, each simulation) reports into the installed
+  Chaitin-Briggs coloring rounds, CCM assignment, compaction, each
+  simulation) reports into the installed
   :class:`TraceRecorder`; when none is installed the hooks cost one
   global read.
 * :mod:`repro.trace.export` — Chrome ``trace_event`` JSON

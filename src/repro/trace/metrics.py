@@ -20,7 +20,7 @@ from .recorder import TraceRecorder, recording
 #: counter prefixes that become baseline metrics (everything the
 #: pipeline records under these names is deterministic per routine)
 METRIC_PREFIXES = (
-    "frontend.", "opt.", "ssa.", "regalloc.", "ccm.", "schedule.", "sim.",
+    "frontend.", "opt.", "ssa.", "regalloc.", "ccm.", "sim.",
 )
 
 #: counter prefixes that depend on *how* a run executed, not on the

@@ -6,9 +6,8 @@ execution — an ``if/elif`` chain over :class:`Opcode`, an
 ``isinstance(VirtualReg)`` test plus a dict lookup per operand access,
 and a ``fn.block(label)`` lookup per iteration.  It is deliberately the
 plainest possible reading of the machine model of section 4, and it
-keeps its own eager cycle accounting and pipelined-load scoreboard, so
-it shares nothing with :mod:`repro.machine.predecode` beyond the
-opcode tables.
+keeps its own eager cycle accounting, so it shares nothing with
+:mod:`repro.machine.predecode` beyond the opcode tables.
 
 It subclasses :class:`~repro.machine.Simulator` and overrides only
 ``_run``: construction, memory layout, globals snapshots, and the
@@ -160,22 +159,6 @@ class InterpSimulator(Simulator):
         m = self.machine
         latency = m.default_latency
         advance = True
-
-        if m.pipelined_loads and self._ready_at:
-            stall = 0
-            for src in instr.srcs:
-                ready = self._ready_at.get(src)
-                if ready is not None:
-                    stall = max(stall, ready - stats.cycles)
-            if stall > 0:
-                stats.cycles += stall
-                stats.stall_cycles += stall
-            # prune settled entries in place rather than rebuilding the
-            # whole dict on every instruction with a pending load
-            now = stats.cycles
-            stale = [r for r, c in self._ready_at.items() if c <= now]
-            for r in stale:
-                del self._ready_at[r]
 
         if op is Opcode.PHI:
             raise SimulationError(
@@ -336,16 +319,6 @@ class InterpSimulator(Simulator):
         else:
             raise SimulationError(f"unimplemented opcode {op}")
 
-        if m.pipelined_loads:
-            for dst in instr.dsts:
-                self._ready_at.pop(dst, None)  # redefinition is available
-            if instr.meta.is_load and instr.meta.is_main_memory \
-                    and latency > 1:
-                # the load issues in one cycle; the remaining latency is
-                # exposed only if a consumer reads the result too early
-                for dst in instr.dsts:
-                    self._ready_at[dst] = stats.cycles + latency
-                latency = 1
         stats.cycles += latency
         self._account(instr, latency, stats)
         if advance:

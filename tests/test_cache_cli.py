@@ -1,6 +1,6 @@
 """``python -m repro cache``: stats, evict and clear over the artifact
 store a one-shot sweep fills, and the usage errors for malformed
-budgets."""
+budgets and environment variables."""
 
 import json
 
@@ -63,17 +63,34 @@ def test_malformed_budget_flag_is_a_usage_error(tmp_path, capsys, budget):
     assert "argument --budget: invalid byte count" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("argv", [
-    ["cache", "stats"],
+#: the entry points that compile (and so read the allocator engine)
+COMPILING = [
     ["difftest", "--seeds", "1"],
     ["harness", "table1", "--routines", "fmin"],
     ["harness", "--whole-program", "--routines", "3"],
-])
-def test_malformed_budget_variable_is_a_usage_error(tmp_path, capsys,
-                                                    monkeypatch, argv):
-    monkeypatch.setenv("REPRO_CACHE_BUDGET", "lots")
+]
+
+
+def _assert_usage_error(argv, tmp_path, capsys, message):
     with pytest.raises(SystemExit) as info:
         repro_main([*argv, "--cache-dir", str(tmp_path)])
     assert info.value.code == 2
-    assert ("$REPRO_CACHE_BUDGET: invalid byte count 'lots'"
-            in capsys.readouterr().err)
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["cache", "stats"], *COMPILING])
+def test_malformed_budget_variable_is_a_usage_error(tmp_path, capsys,
+                                                    monkeypatch, argv):
+    monkeypatch.setenv("REPRO_CACHE_BUDGET", "lots")
+    _assert_usage_error(argv, tmp_path, capsys,
+                        "$REPRO_CACHE_BUDGET: invalid byte count 'lots'")
+
+
+@pytest.mark.parametrize("argv", COMPILING)
+def test_unknown_regalloc_engine_variable_is_a_usage_error(
+        tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.setenv("REPRO_REGALLOC_ENGINE", "ssa_everywhere")
+    _assert_usage_error(argv, tmp_path, capsys,
+                        "$REPRO_REGALLOC_ENGINE: unknown regalloc engine "
+                        "'ssa_everywhere' (choose from chaitin, ssa, "
+                        "ssa-everywhere)")

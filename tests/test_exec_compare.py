@@ -48,7 +48,6 @@ class TestSingleDefinition:
     def test_harness_uses_the_shared_helper(self):
         from repro.harness import experiment
 
-        assert experiment._values_match is values_match
         assert experiment.values_match is values_match
 
     def test_difftest_uses_the_shared_helper(self):

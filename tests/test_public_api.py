@@ -75,11 +75,10 @@ class TestPackageSurface:
         import repro.machine
         import repro.opt
         import repro.regalloc
-        import repro.schedule
         import repro.workloads
         for module in (repro.analysis, repro.ccm, repro.frontend,
                        repro.harness, repro.ir, repro.machine, repro.opt,
-                       repro.regalloc, repro.schedule, repro.workloads):
+                       repro.regalloc, repro.workloads):
             for name in module.__all__:
                 assert getattr(module, name) is not None, \
                     f"{module.__name__}.{name}"

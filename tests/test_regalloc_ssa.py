@@ -408,17 +408,14 @@ class TestEnvEngine:
                              capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "ssa-everywhere"
 
-    def test_invalid_env_var_falls_back_to_chaitin(self):
-        import subprocess
-        import sys
+    def test_invalid_env_var_is_a_named_error(self, monkeypatch):
+        from repro.regalloc import engine
 
-        snippet = (
-            "from repro.regalloc import regalloc_engine;"
-            "print(regalloc_engine())")
-        env = dict(os.environ, REPRO_REGALLOC_ENGINE="typo")
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in [os.path.join(os.path.dirname(__file__), "..", "src"),
-                        env.get("PYTHONPATH", "")] if p)
-        out = subprocess.run([sys.executable, "-c", snippet], env=env,
-                             capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == "chaitin"
+        monkeypatch.setattr(engine, "_engine", None)
+        monkeypatch.setenv("REPRO_REGALLOC_ENGINE", "typo")
+        with pytest.raises(ValueError) as info:
+            regalloc_engine()
+        message = str(info.value)
+        assert "$REPRO_REGALLOC_ENGINE" in message
+        assert "'typo'" in message
+        assert "chaitin, ssa, ssa-everywhere" in message

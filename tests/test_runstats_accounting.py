@@ -1,9 +1,9 @@
 """Property test: the cycle accounting of RunStats is exhaustive.
 
 Every cycle the simulator charges must land in exactly one bucket —
-``op_cycles`` (non-memory instruction latencies), ``memory_cycles``
-(main-memory, cache, and CCM accesses), or ``stall_cycles``
-(pipelined-load interlocks) — so ``cycles`` always equals their sum.
+``op_cycles`` (non-memory instruction latencies) or ``memory_cycles``
+(main-memory, cache, and CCM accesses) — so ``cycles`` always equals
+their sum.
 A category the simulator forgets to bucket (or double-counts) breaks
 the identity on some program, so it is checked over the persistent
 corpus, a band of fuzzer seeds, and the paper suite routines.
@@ -34,10 +34,9 @@ SEEDS = list(range(12))
 
 
 def _assert_identity(stats, what):
-    total = stats.op_cycles + stats.memory_cycles + stats.stall_cycles
-    assert stats.cycles == total, (
+    assert stats.cycles == stats.op_cycles + stats.memory_cycles, (
         f"{what}: cycles {stats.cycles} != op {stats.op_cycles} + "
-        f"memory {stats.memory_cycles} + stall {stats.stall_cycles}")
+        f"memory {stats.memory_cycles}")
 
 
 def _check_compiled(program, machine, what):

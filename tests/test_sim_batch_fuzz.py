@@ -9,9 +9,8 @@ pinned against the reference interpreter in ``sim_oracle.py``).  These tests enf
 the three-way contract against the differential-testing generator's
 program distribution:
 
-* member lists mixing pure timing variants, cacheless members, three
-  cache geometries (direct-mapped, 2-way + victim, write-buffer), and
-  ``pipelined_loads`` members that exercise the scalar fallback path;
+* member lists mixing pure timing variants, cacheless members, and
+  three cache geometries (direct-mapped, 2-way + victim, write-buffer);
 * batch sizes {1, 2, 7, full} with shuffled membership, so result
   fan-out cannot depend on how the lattice is chunked or ordered;
 * members at several ``ccm_bytes`` limits, which batch optimistically
@@ -78,9 +77,6 @@ def _members_for(program, machine):
         BatchMember(machine, SMALL_DM),
         BatchMember(r(machine, memory_latency=7), TWO_WAY_VICTIM),
         BatchMember(machine, WRITE_BUFFER),
-        # scalar-fallback members: the stall scoreboard cannot batch
-        BatchMember(r(machine, pipelined_loads=True, memory_latency=4)),
-        BatchMember(r(machine, pipelined_loads=True), SMALL_DM),
         # ccm_bytes variants batch optimistically under the largest
         # limit; the 16-byte member forces a BatchSplit (and its own
         # scalar-identical CCM trap) whenever the program's dynamic

@@ -7,8 +7,7 @@ the *structural* contracts directly:
 * a batch of one is the scalar :class:`Simulator` run, ``RunResult``
   for ``RunResult``;
 * per-member results are invariant under batch-membership permutation;
-* ``cycles == op_cycles + memory_cycles + stall_cycles`` holds for
-  every member (the accounting fan-out cannot double-count or drop);
+* ``cycles == op_cycles + memory_cycles`` holds for every member (the accounting fan-out cannot double-count or drop);
 * architectural-signature mismatches are rejected up front, while
   ``ccm_bytes`` batches *optimistically*: one pass under the largest
   limit, validated against the dynamic CCM watermark, with
@@ -79,7 +78,6 @@ def _members(machine):
         BatchMember(machine, CACHE_GEOMETRIES[0]),
         BatchMember(r(machine, default_latency=2), CACHE_GEOMETRIES[1]),
         BatchMember(machine, CACHE_GEOMETRIES[2]),
-        BatchMember(r(machine, pipelined_loads=True)),
     ]
 
 
@@ -129,13 +127,8 @@ class TestCycleAccounting:
                                    poison_caller_saved=True).run()
             for member, run in zip(members, runs):
                 s = run.stats
-                assert s.cycles == (s.op_cycles + s.memory_cycles
-                                    + s.stall_cycles), (
+                assert s.cycles == s.op_cycles + s.memory_cycles, (
                     f"accounting leak for {member}")
-                if not member.machine.pipelined_loads:
-                    # the batched pass never stalls: interlocks are a
-                    # pipelined-load (fallback-path) phenomenon
-                    assert s.stall_cycles == 0
 
 
 class TestArchSignatureGate:
@@ -309,8 +302,7 @@ def test_accounting_and_permutation_over_corpus():
             continue    # trapping seeds are the fuzz suite's job
         for run in baseline:
             s = run.stats
-            assert s.cycles == (s.op_cycles + s.memory_cycles
-                                + s.stall_cycles)
+            assert s.cycles == s.op_cycles + s.memory_cycles
         order = list(range(len(members)))
         rng.shuffle(order)
         shuffled = BatchSimulation(program, [members[i] for i in order],

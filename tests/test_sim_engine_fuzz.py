@@ -3,17 +3,13 @@
 The closure-compiled simulator driver (``repro.machine.predecode``) and
 the reference interpreter (``InterpSimulator`` in ``sim_oracle.py``) must be
 observationally indistinguishable — same return value, same
-:class:`RunStats` field for field (``block_counts``, cache statistics,
-stall accounting), same final global-array contents, and the same
+:class:`RunStats` field for field (``block_counts``, cache statistics),
+same final global-array contents, and the same
 exception type, ``kind``, and message on every trapping or malformed
 seed.  These property tests pin that contract against the
-differential-testing generator's program distribution, across the
-machine variants that select different decode paths:
-
-* data cache present / absent (closures specialize on ``has_cache``),
-* ``pipelined_loads`` on / off (scoreboard loop vs. bare fast loop),
-
-and on two lattice configs chosen to cover CCM traffic, spill code, and
+differential-testing generator's program distribution, with the data
+cache present and absent (closures specialize on ``has_cache``), and
+on two lattice configs chosen to cover CCM traffic, spill code, and
 unoptimized control flow.
 
 A small seed range runs in tier 1; the ≥200-seed sweep carries the
@@ -40,8 +36,8 @@ from repro.machine import CacheConfig, DataCache, SimulationError
 SMOKE_SEEDS = range(0, 10)
 FUZZ_SEEDS = range(0, 220)
 
-#: (use_cache, pipelined_loads) — all four decode/loop combinations
-VARIANTS = ((False, False), (False, True), (True, False), (True, True))
+#: use_cache — the two decode paths
+VARIANTS = (False, True)
 
 #: Lattice points with complementary coverage: the optimized integrated
 #: allocator emits CCM traffic and compacted spill code; the
@@ -74,13 +70,11 @@ def _check_seed(seed: int) -> int:
     source = generate_source(seed)
     for config in CONFIGS:
         program, machine = compile_config(compile_source(source), config)
-        for use_cache, pipelined in VARIANTS:
-            variant = dataclasses.replace(machine, pipelined_loads=pipelined)
-            interp = _observe(program, variant, "interp", use_cache)
-            pre = _observe(program, variant, "predecode", use_cache)
+        for use_cache in VARIANTS:
+            interp = _observe(program, machine, "interp", use_cache)
+            pre = _observe(program, machine, "predecode", use_cache)
             assert pre == interp, (
-                f"seed {seed} config {config.name} "
-                f"cache={use_cache} pipelined={pipelined}:\n"
+                f"seed {seed} config {config.name} cache={use_cache}:\n"
                 f"  predecode: {pre!r}\n  interp:    {interp!r}")
             if interp[0] == "error":
                 traps += 1
@@ -143,7 +137,7 @@ def _result_digest(hashseed: str) -> str:
 
 class TestCrossProcessDeterminism:
     def test_predecode_results_survive_hash_randomization(self):
-        # slot numbering, decode order, and the scoreboard keys must all
-        # be hash-seed independent, or parallel sweep workers would
+        # slot numbering and decode order must be hash-seed
+        # independent, or parallel sweep workers would
         # disagree with the serial path
         assert _result_digest("1") == _result_digest("31337")

@@ -6,8 +6,8 @@ observable behaviour — return value, every ``RunStats`` field, globals,
 architectural register file, exception type/kind/message — is
 bit-identical.  The broad randomized sweep lives in
 ``test_sim_engine_fuzz.py``; this file pins the hand-written corner
-cases (traps, poisoning, stall accounting, block profiling, decode-cache
-invalidation) with literal expected values.
+cases (traps, poisoning, block profiling, decode-cache invalidation)
+with literal expected values.
 """
 
 from __future__ import annotations
@@ -24,8 +24,6 @@ from repro.trace import TraceRecorder, recording
 from sim_oracle import simulator
 
 ENGINES = ("interp", "predecode")
-
-PIPELINED = MachineConfig(pipelined_loads=True)
 
 TRIVIAL = """
 .program p
@@ -350,65 +348,6 @@ entry:
         assert pre.stats.cache is not None
         assert interp.stats.cache == pre.stats.cache
         assert pre.stats.cache.hits + pre.stats.cache.misses == 3
-
-
-class TestStallAccounting:
-    """Satellite: pipelined-load scoreboard, pinned and cross-engine."""
-
-    LOAD_USE = """
-.program p
-.global A 8 int = 5,7
-.func main()
-entry:
-    loadG @A => %v0
-    load %v0 => %v1
-    addI %v1, 1 => %v2
-    ret %v2
-.endfunc
-"""
-
-    def test_dependent_use_stalls_pinned(self):
-        interp, pre = run_both(self.LOAD_USE, machine=PIPELINED)
-        assert pre.value == 6
-        # the load issues in 1 cycle; its consumer waits the rest
-        latency = PIPELINED.memory_latency
-        assert pre.stats.stall_cycles == latency - 1
-        assert pre.stats.memory_cycles == 1
-        assert interp.stats.stall_cycles == pre.stats.stall_cycles
-
-    def test_independent_work_hides_latency(self):
-        interp, pre = run_both("""
-.program p
-.global A 8 int = 5,7
-.func main()
-entry:
-    loadG @A => %v0
-    load %v0 => %v1
-    loadI 1 => %v2
-    loadI 2 => %v3
-    loadI 3 => %v4
-    loadI 4 => %v5
-    addI %v1, 1 => %v6
-    ret %v6
-.endfunc
-""", machine=PIPELINED)
-        assert pre.stats.stall_cycles == 0
-
-    def test_scoreboard_persists_across_runs(self):
-        # the interpreter never resets _ready_at between run() calls; a
-        # load still in flight at the end of run 1 can stall run 2
-        stats = {}
-        for engine in ENGINES:
-            sim = simulator(engine, parse_program(self.LOAD_USE), PIPELINED)
-            first = sim.run()
-            second = sim.run()
-            stats[engine] = (first.stats, second.stats)
-        assert stats["interp"] == stats["predecode"]
-
-    def test_non_pipelined_has_no_stalls(self):
-        interp, pre = run_both(self.LOAD_USE)
-        assert pre.stats.stall_cycles == 0
-        assert pre.stats.memory_cycles == MachineConfig().memory_latency
 
 
 MULTI_BLOCK_CALLS = """
