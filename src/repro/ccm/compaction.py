@@ -9,13 +9,13 @@ slot; the experiment reports bytes of spill memory before and after.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 from ..analysis import AnalysisManager
 from ..ir import Function, Opcode, SPILL_LOADS, SPILL_STORES
 from ..trace import trace_counter, trace_span
-from .assign import assign_webs
-from .mem_liveness import analyze_webs
+from .assign import first_fit_offset
+from .mem_liveness import WebInterference, analyze_webs
 from .slots import SpillWeb, find_spill_webs
 
 
@@ -45,28 +45,39 @@ def spill_bytes_in_use(fn: Function) -> int:
     return high
 
 
-def compact_spill_memory(fn: Function,
-                         manager: AnalysisManager = None) -> CompactionResult:
+def compact_spill_memory(fn: Function, manager: AnalysisManager = None,
+                         analysis: Optional[WebInterference] = None
+                         ) -> CompactionResult:
     """Recolor the function's stack spill slots in place.
 
     ``manager``, if given, is the caller's shared analysis cache; the
     in-place offset rewrite invalidates its instruction-level analyses.
+    ``analysis``, if given, replaces the spill-web analysis of ``fn``:
+    :func:`~repro.ccm.postpass.analyze_spill_webs` of the program ``fn``
+    was cloned from, its ``webs`` narrowed to those still on the stack
+    (a post-pass promotion only removes webs, so the rest keep their
+    sites, offsets and interference).
     """
     with trace_span("ccm.compact", fn=fn.name):
-        result = _compact_spill_memory(fn, manager)
+        result = _compact_spill_memory(fn, manager, analysis)
     trace_counter("ccm.compaction_bytes_before", result.bytes_before)
     trace_counter("ccm.compaction_bytes_after", result.bytes_after)
     return result
 
 
-def _compact_spill_memory(fn: Function,
-                          manager: AnalysisManager = None) -> CompactionResult:
-    manager = manager or AnalysisManager(fn)
-    webs = find_spill_webs(fn, manager=manager)
+def _compact_spill_memory(fn: Function, manager: AnalysisManager = None,
+                          analysis: Optional[WebInterference] = None
+                          ) -> CompactionResult:
+    if analysis is None:
+        manager = manager or AnalysisManager(fn)
+        webs = find_spill_webs(fn, manager=manager)
+    else:
+        webs = analysis.webs
     before = fn.frame_size or spill_bytes_in_use(fn)
     if not webs:
         return CompactionResult(fn.name, before, before, 0)
-    interference = analyze_webs(fn, webs, manager=manager)
+    interference = (analysis if analysis is not None
+                    else analyze_webs(fn, webs, manager=manager))
 
     # Upward-exposed webs read memory the allocator did not write (never
     # produced by our spiller, but possible in hand-written input): pin
@@ -86,7 +97,8 @@ def _compact_spill_memory(fn: Function,
         for label, idx in web.sites:
             fn.block(label).instructions[idx].imm = offset
     fn.frame_size = high
-    manager.invalidate(cfg=False)
+    if manager is not None:
+        manager.invalidate(cfg=False)
     return CompactionResult(fn.name, before, high, len(webs))
 
 
@@ -99,7 +111,6 @@ def _assign_around(movable: List[SpillWeb], interference, pinned: Dict[int, int]
     ordered = sorted(movable,
                      key=lambda w: (-interference.costs.get(w.web_id, 0.0),
                                     w.web_id))
-    from .assign import first_fit_offset
     for web in ordered:
         intervals = [(placed[n], by_id[n].size)
                      for n in interference.neighbors(web.web_id)

@@ -460,16 +460,33 @@ class SpillPlacement:
                 in_ccm = True
         return in_ccm
 
+    def _remap(self, ccm_bytes: int) -> Dict[int, SpillLocation]:
+        """Stack offset in the emitted code -> location at ``ccm_bytes``,
+        for the values that move."""
+        stack_offsets = self.stack_offsets
+        return {stack_offsets[reg]: loc
+                for reg, loc in self.locations[ccm_bytes].items()
+                if loc.kind == "ccm" or loc.offset != stack_offsets[reg]}
+
+    def decision(self, ccm_bytes: int) -> tuple:
+        """What :meth:`materialize` writes at ``ccm_bytes``, hashable:
+        the frame size and each moved stack offset's (kind, offset).
+        Sizes that move no value — 0 among them — give ``()``: their
+        materialized code is the allocation itself."""
+        remap = self._remap(ccm_bytes)
+        if not remap:
+            return ()
+        return (self.frames[ccm_bytes],
+                tuple(sorted((offset, loc.kind, loc.offset)
+                             for offset, loc in remap.items())))
+
     def materialize(self, fn: Function, ccm_bytes: int,
                     result: Optional[AllocationResult] = None
                     ) -> Optional[AllocationResult]:
         """Rewrite ``fn`` — the allocated function or a clone of it —
         to its placement at ``ccm_bytes``; with ``result`` (the shared
         allocation's), returns the matching per-size result."""
-        locations = self.locations[ccm_bytes]
-        stack_offsets = self.stack_offsets
-        remap = {stack_offsets[reg]: loc for reg, loc in locations.items()
-                 if loc.kind == "ccm" or loc.offset != stack_offsets[reg]}
+        remap = self._remap(ccm_bytes)
         if remap:
             for block in fn.blocks:
                 for instr in block.instructions:
@@ -482,7 +499,8 @@ class SpillPlacement:
         fn.frame_size = self.frames[ccm_bytes]
         if result is None:
             return None
-        return replace(result, fn=fn, locations=dict(locations))
+        return replace(result, fn=fn,
+                       locations=dict(self.locations[ccm_bytes]))
 
 
 class CcmPlacementProvider(StackSlotProvider):

@@ -14,8 +14,8 @@ by callees (implemented with the prologue-copy idiom in the allocator).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import FrozenSet, List, Tuple
+from dataclasses import dataclass
+from typing import List
 
 from ..ir import PhysReg, RegClass
 

@@ -3,8 +3,7 @@ spill placement.
 
 :func:`allocate_function` dispatches on the process-wide engine
 (``REPRO_REGALLOC_ENGINE`` / :func:`set_regalloc_engine`) or an explicit
-``engine`` argument — the same two-backend pattern as the liveness and
-simulator engines.
+``engine`` argument.
 """
 
 from typing import Optional

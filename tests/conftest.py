@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from repro.frontend import compile_source
@@ -9,6 +11,24 @@ from repro.harness.experiment import compile_program
 from repro.ir import (Function, GlobalArray, Instruction, IRBuilder, Opcode,
                       Program, RegClass, parse_program, verify_program)
 from repro.machine import MachineConfig, PAPER_MACHINE_512, Simulator
+
+
+@pytest.fixture(autouse=True)
+def _restore_regalloc_engine():
+    """Every test ends as it started, following the same explicit
+    engine or ``$REPRO_REGALLOC_ENGINE``: a :func:`set_regalloc_engine`
+    call, or an in-process CLI run with ``--regalloc-engine`` (which
+    also exports the variable), is undone after the test."""
+    from repro.regalloc import engine
+
+    saved_engine = engine._engine
+    saved_env = os.environ.get(engine._ENV)
+    yield
+    engine._engine = saved_engine
+    if saved_env is None:
+        os.environ.pop(engine._ENV, None)
+    else:
+        os.environ[engine._ENV] = saved_env
 
 
 def simulate(program, machine=None, **kwargs):

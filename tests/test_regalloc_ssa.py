@@ -117,10 +117,7 @@ class TestEngineSelector:
 
     def test_setter_roundtrip(self):
         set_regalloc_engine("ssa")
-        try:
-            assert regalloc_engine() == "ssa"
-        finally:
-            set_regalloc_engine("chaitin")
+        assert regalloc_engine() == "ssa"
 
     def test_unknown_engine_rejected(self):
         with pytest.raises(ValueError):
@@ -139,10 +136,7 @@ class TestEngineSelector:
         prog = build_loop_sum_program()
         fn = prog.functions["main"]
         set_regalloc_engine("ssa")
-        try:
-            result = allocate_function(fn, machine)
-        finally:
-            set_regalloc_engine("chaitin")
+        result = allocate_function(fn, machine)
         assert isinstance(result, SsaAllocationResult)
         assert simulate(prog).value == 45
 
@@ -409,9 +403,6 @@ class TestEnvEngine:
         assert out.stdout.strip() == "ssa-everywhere"
 
     def test_invalid_env_var_is_a_named_error(self, monkeypatch):
-        from repro.regalloc import engine
-
-        monkeypatch.setattr(engine, "_engine", None)
         monkeypatch.setenv("REPRO_REGALLOC_ENGINE", "typo")
         with pytest.raises(ValueError) as info:
             regalloc_engine()
