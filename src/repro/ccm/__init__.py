@@ -22,8 +22,8 @@ from .integrated import (CcmGraphHook, CcmLocation, CcmPlacementProvider,
 from .mem_liveness import WebInterference, analyze_webs
 from .postpass import (FunctionPromotion, PromotionReport, analyze_spill_webs,
                        decide_postpass, promote_function,
-                       promote_spills_postpass, promote_spills_profiled,
-                       rewrite_postpass, stacked_analyses)
+                       promote_spills_postpass, rewrite_postpass,
+                       stacked_analyses)
 from .slots import SpillWeb, find_spill_webs
 
 __all__ = [
@@ -34,7 +34,6 @@ __all__ = [
     "allocate_function_integrated", "WebInterference", "analyze_webs",
     "FunctionPromotion", "PromotionReport", "analyze_spill_webs",
     "decide_postpass", "promote_function",
-    "promote_spills_postpass", "promote_spills_profiled",
-    "rewrite_postpass", "stacked_analyses", "SpillWeb",
-    "find_spill_webs",
+    "promote_spills_postpass", "rewrite_postpass", "stacked_analyses",
+    "SpillWeb", "find_spill_webs",
 ]

@@ -11,12 +11,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from ..analysis import AnalysisManager
 from ..ir import Function, Opcode, SPILL_LOADS, SPILL_STORES
 from ..trace import trace_counter, trace_span
 from .assign import first_fit_offset
-from .mem_liveness import WebInterference, analyze_webs
-from .slots import SpillWeb, find_spill_webs
+from .mem_liveness import WebInterference
+from .postpass import analyze_spill_webs
+from .slots import SpillWeb
 
 
 @dataclass
@@ -45,13 +45,11 @@ def spill_bytes_in_use(fn: Function) -> int:
     return high
 
 
-def compact_spill_memory(fn: Function, manager: AnalysisManager = None,
+def compact_spill_memory(fn: Function,
                          analysis: Optional[WebInterference] = None
                          ) -> CompactionResult:
     """Recolor the function's stack spill slots in place.
 
-    ``manager``, if given, is the caller's shared analysis cache; the
-    in-place offset rewrite invalidates its instruction-level analyses.
     ``analysis``, if given, replaces the spill-web analysis of ``fn``:
     :func:`~repro.ccm.postpass.analyze_spill_webs` of the program ``fn``
     was cloned from, its ``webs`` narrowed to those still on the stack
@@ -59,25 +57,21 @@ def compact_spill_memory(fn: Function, manager: AnalysisManager = None,
     sites, offsets and interference).
     """
     with trace_span("ccm.compact", fn=fn.name):
-        result = _compact_spill_memory(fn, manager, analysis)
+        result = _compact_spill_memory(fn, analysis)
     trace_counter("ccm.compaction_bytes_before", result.bytes_before)
     trace_counter("ccm.compaction_bytes_after", result.bytes_after)
     return result
 
 
-def _compact_spill_memory(fn: Function, manager: AnalysisManager = None,
-                          analysis: Optional[WebInterference] = None
+def _compact_spill_memory(fn: Function,
+                          analysis: Optional[WebInterference]
                           ) -> CompactionResult:
-    if analysis is None:
-        manager = manager or AnalysisManager(fn)
-        webs = find_spill_webs(fn, manager=manager)
-    else:
-        webs = analysis.webs
+    interference = (analysis if analysis is not None
+                    else analyze_spill_webs(fn))
+    webs = interference.webs
     before = fn.frame_size or spill_bytes_in_use(fn)
     if not webs:
         return CompactionResult(fn.name, before, before, 0)
-    interference = (analysis if analysis is not None
-                    else analyze_webs(fn, webs, manager=manager))
 
     # Upward-exposed webs read memory the allocator did not write (never
     # produced by our spiller, but possible in hand-written input): pin
@@ -97,8 +91,6 @@ def _compact_spill_memory(fn: Function, manager: AnalysisManager = None,
         for label, idx in web.sites:
             fn.block(label).instructions[idx].imm = offset
     fn.frame_size = high
-    if manager is not None:
-        manager.invalidate(cfg=False)
     return CompactionResult(fn.name, before, high, len(webs))
 
 

@@ -54,37 +54,21 @@ class WebInterference:
 
 
 def analyze_webs(fn: Function, webs: List[SpillWeb],
-                 loop_info: LoopInfo = None,
-                 block_profile: Dict[str, int] = None,
                  manager: Optional[AnalysisManager] = None
                  ) -> WebInterference:
     """Backward liveness over webs; returns the interference structure.
 
-    Costs default to the static Chaitin estimate (10^loop-depth per
-    site); passing ``block_profile`` — measured per-block execution
-    counts, e.g. from ``Simulator(profile=True)`` — switches to
-    profile-guided costs, so the CCM packing order reflects reality
-    rather than the loop-nest heuristic.  ``manager`` supplies cached
-    CFG / loop analyses.
+    Costs are the static Chaitin estimate (10^loop-depth per site).
+    ``manager`` supplies cached CFG / loop analyses.
     """
     result = WebInterference(webs)
     if not webs:
         return result
     cfg = manager.cfg() if manager is not None else CFG(fn)
-    if loop_info is not None:
-        loops = loop_info
-    elif block_profile is not None:
-        loops = None  # profile weights; the loop nest is never consulted
-    else:
-        loops = manager.loops() if manager is not None else LoopInfo(fn)
+    loops = manager.loops() if manager is not None else LoopInfo(fn)
     # consistent with find_spill_webs: code in unreachable blocks never
     # executes, so it neither generates liveness nor interference
     reachable = cfg.reachable()
-
-    def site_weight(label: str) -> float:
-        if block_profile is not None:
-            return float(block_profile.get(label, 0))
-        return loops.block_frequency(label)
 
     web_of_store: Dict[Site, int] = {}
     web_of_load: Dict[Site, int] = {}
@@ -93,8 +77,8 @@ def analyze_webs(fn: Function, webs: List[SpillWeb],
             web_of_store[site] = web.web_id
         for site in web.loads:
             web_of_load[site] = web.web_id
-        weight = sum(site_weight(label) for label, _ in web.sites)
-        result.costs[web.web_id] = weight
+        result.costs[web.web_id] = sum(loops.block_frequency(label)
+                                       for label, _ in web.sites)
 
     # per-block gen (upward-exposed loads) / kill (stores) over web-id masks
     gen: Dict[str, int] = {}

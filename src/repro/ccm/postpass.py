@@ -19,16 +19,17 @@ Two variants, both from the paper:
   across calls into the cycle), though their own not-live-across-call
   webs remain safely promotable.
 
-Placement is a decision over the web analysis (:func:`decide_postpass`,
-no IR writes), applied by :func:`rewrite_postpass`;
-:func:`promote_spills_postpass` does both in turn.  One analysis of an
-allocated program serves every decision placed from it.
+Costs are the paper's static 10^loop-depth estimate.  Placement is a
+decision over the web analysis (:func:`decide_postpass`, no IR writes),
+applied by :func:`rewrite_postpass`; :func:`promote_spills_postpass`
+analyzes, decides and rewrites in turn.  One analysis of an allocated
+program serves every decision placed from it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional
+from typing import Dict, Iterable, List, Optional
 
 from ..analysis import AnalysisManager, CallGraph
 from ..ir import Function, Program, TO_CCM
@@ -100,67 +101,59 @@ class PromotionReport:
 
     @property
     def genuinely_full(self) -> List[str]:
-        """Functions whose *own* promoted webs reach the CCM limit."""
+        """Functions whose *own* promoted webs reach a non-zero CCM
+        limit (with no CCM, nothing is full)."""
         return [name for name, f in self.functions.items()
-                if f.high_water >= self.ccm_bytes]
+                if self.ccm_bytes and f.high_water >= self.ccm_bytes]
 
 
-def analyze_spill_webs(fn: Function,
-                       block_profile: Optional[Dict[str, int]] = None,
-                       manager: Optional[AnalysisManager] = None
-                       ) -> WebInterference:
+def analyze_spill_webs(fn: Function) -> WebInterference:
     """The CCM-size-independent half of promotion: the function's spill
     webs (``.webs``) with their liveness, interference, call crossings
-    and costs.
+    and static costs.
 
     Placement only reads the result, and a web's sites are (label,
     index) pairs, so one analysis of an allocated function serves
     :func:`decide_function` at any CCM size, rewritten into any clone
     of it.
     """
-    manager = manager or AnalysisManager(fn)
-    webs = find_spill_webs(fn, manager=manager)
-    return analyze_webs(fn, webs, block_profile=block_profile,
+    manager = AnalysisManager(fn)
+    return analyze_webs(fn, find_spill_webs(fn, manager=manager),
                         manager=manager)
 
 
 def promote_function(fn: Function, ccm_bytes: int,
-                     callee_high_water: Optional[Dict[str, int]] = None,
-                     block_profile: Optional[Dict[str, int]] = None,
-                     manager: Optional[AnalysisManager] = None
+                     callee_high_water: Optional[Dict[str, int]] = None
                      ) -> FunctionPromotion:
     """Promote one function's spill webs into a CCM of ``ccm_bytes``:
-    :func:`decide_function`, then the rewrite of its promoted webs.
+    :func:`analyze_spill_webs`, :func:`decide_function`, then the
+    rewrite of its promoted webs — one step of the bottom-up walk, for
+    callers that compile a routine at a time
+    (:mod:`repro.exec.wholeprog`).
 
     ``callee_high_water`` maps callee names to their CCM usage; None
     selects the intraprocedural rule (nothing live across calls is
-    promoted).  ``block_profile`` switches web costs from the static
-    loop-depth estimate to measured block execution counts
-    (profile-guided promotion).  ``manager``, if given, is the caller's
-    shared analysis cache — promotion rewrites spill instructions in
-    place, so it invalidates the instruction-level analyses before
-    returning (a later allocator round on the same manager must not see
-    pre-promotion liveness or spill webs).
+    promoted).
     """
     with trace_span("ccm.promote", fn=fn.name):
-        analysis = analyze_spill_webs(fn, block_profile, manager)
-        result = decide_function(fn.name, analysis, ccm_bytes,
-                                 callee_high_water)
+        result = decide_function(fn.name, analyze_spill_webs(fn),
+                                 ccm_bytes, callee_high_water)
         _rewrite_promoted(fn, result)
-        if result.promoted and manager is not None:
-            # the in-place opcode/imm rewrite changed the instructions a
-            # shared manager's liveness and web analyses were computed
-            # from
-            manager.invalidate(cfg=False)
-    trace_counter("ccm.webs", result.n_webs)
-    trace_counter("ccm.promoted", len(result.promoted))
-    trace_counter("ccm.heavyweight", len(result.heavyweight))
-    trace_counter("ccm.bytes_used", result.ccm_bytes_used)
-    # the stack bytes the promoted webs vacate — Table 1's "savings"
-    # angle on Table 3's occupancy
-    trace_counter("ccm.bytes_saved",
-                  sum(web.size for web in result.promoted))
+    _count_promotions([result])
     return result
+
+
+def _count_promotions(promotions: Iterable[FunctionPromotion]) -> None:
+    """The ``ccm.*`` trace counters of rewritten promotions."""
+    for promotion in promotions:
+        trace_counter("ccm.webs", promotion.n_webs)
+        trace_counter("ccm.promoted", len(promotion.promoted))
+        trace_counter("ccm.heavyweight", len(promotion.heavyweight))
+        trace_counter("ccm.bytes_used", promotion.ccm_bytes_used)
+        # the stack bytes the promoted webs vacate — Table 1's
+        # "savings" angle on Table 3's occupancy
+        trace_counter("ccm.bytes_saved",
+                      sum(web.size for web in promotion.promoted))
 
 
 def decide_function(fn_name: str, interference: WebInterference,
@@ -232,26 +225,18 @@ def decide_postpass(program: Program, analyses: Dict[str, WebInterference],
                     ccm_bytes: int, interprocedural: bool) -> PromotionReport:
     """The post-pass allocator's whole-program decision (Figure 1),
     from each function's :func:`analyze_spill_webs` result; reads
-    ``program`` only for its call graph.
+    ``program`` only for its functions and call graph.
 
-    Each :class:`FunctionPromotion` carries the function's
-    ``reported_high_water`` — the ``ccm_high_water`` the rewrite
-    (:func:`rewrite_postpass`) stores."""
-    return _walk(program, ccm_bytes, interprocedural,
-                 lambda name, callee_high_water: decide_function(
-                     name, analyses[name], ccm_bytes, callee_high_water))
-
-
-def _walk(program: Program, ccm_bytes: int, interprocedural: bool,
-          place: Callable[[str, Optional[Dict[str, int]]],
-                          FunctionPromotion]) -> PromotionReport:
-    """Place every function with ``place(name, callee_high_water)``:
-    in program order under the intraprocedural rule, else bottom-up
-    over the call graph, each callee's mark reported to its callers."""
+    Functions are placed in program order under the intraprocedural
+    rule, else bottom-up over the call graph, each callee's mark
+    reported to its callers.  Each :class:`FunctionPromotion` carries
+    the function's ``reported_high_water`` — the ``ccm_high_water``
+    the rewrite (:func:`rewrite_postpass`) stores."""
     report = PromotionReport(interprocedural, ccm_bytes)
     if not interprocedural:
         for name in program.functions:
-            promotion = place(name, None)
+            promotion = decide_function(name, analyses[name], ccm_bytes,
+                                        None)
             promotion.reported_high_water = promotion.high_water
             report.functions[name] = promotion
         return report
@@ -260,7 +245,8 @@ def _walk(program: Program, ccm_bytes: int, interprocedural: bool,
     recursive = graph.recursive_functions()
     high_water: Dict[str, int] = {}
     for name in graph.bottom_up_order():
-        promotion = place(name, high_water)
+        promotion = decide_function(name, analyses[name], ccm_bytes,
+                                    high_water)
         promotion.recursive = name in recursive
         report.functions[name] = promotion
         own = promotion.high_water
@@ -302,62 +288,18 @@ def stacked_analyses(analyses: Dict[str, WebInterference],
 
 
 def promote_spills_postpass(program: Program, machine: MachineConfig,
-                            interprocedural: bool = False,
-                            compact_heavyweights: bool = False
+                            interprocedural: bool = False
                             ) -> PromotionReport:
-    """Run the post-pass CCM allocator over a whole program (Figure 1).
-
-    ``compact_heavyweights`` applies the paper's footnote 3: after
-    promotion, the spills left in main memory are re-colored so they are
-    "packed tightly together and so use the least memory necessary."
-    """
-    managers: Dict[str, AnalysisManager] = {}
-
-    def place(name: str, callee_high_water: Optional[Dict[str, int]]
-              ) -> FunctionPromotion:
-        fn = program.functions[name]
-        manager = managers[name] = AnalysisManager(fn)
-        return promote_function(fn, machine.ccm_bytes,
-                                callee_high_water=callee_high_water,
-                                manager=manager)
-
-    report = _walk(program, machine.ccm_bytes, interprocedural, place)
-    for name, promotion in report.functions.items():
-        fn = program.functions[name]
-        fn.ccm_high_water = promotion.reported_high_water
-        if compact_heavyweights:
-            from .compaction import compact_spill_memory
-
-            # safe to share the manager: promotion invalidated the
-            # instruction-level analyses after its in-place rewrite
-            compact_spill_memory(fn, manager=managers[name])
-    return report
-
-
-def promote_spills_profiled(program: Program, machine: MachineConfig,
-                            entry_args: Optional[list] = None
-                            ) -> PromotionReport:
-    """Profile-guided intraprocedural promotion: run the program once to
-    measure block execution counts, then promote with measured costs.
-
-    This is the natural extension of the paper's static cost model — on
-    code whose hot paths the 10^depth heuristic mispredicts (rarely
-    taken branches inside loops), the profile keeps cold webs out of a
-    tight CCM.
-    """
-    from ..machine import Simulator
-
-    sim = Simulator(program, machine, poison_caller_saved=True, profile=True)
-    stats = sim.run(args=entry_args or []).stats
-    counts = stats.block_counts or {}
-
-    report = PromotionReport(False, machine.ccm_bytes)
-    for name, fn in program.functions.items():
-        profile = {label: count for (fn_name, label), count in counts.items()
-                   if fn_name == name}
-        promotion = promote_function(fn, machine.ccm_bytes,
-                                     callee_high_water=None,
-                                     block_profile=profile)
-        fn.ccm_high_water = promotion.high_water
-        report.functions[name] = promotion
+    """Run the post-pass CCM allocator over a whole program (Figure 1):
+    :func:`analyze_spill_webs` of every function, the
+    :func:`decide_postpass` decision, and its :func:`rewrite_postpass`
+    — the difftest lattice's path, which shares the analyses and
+    decisions across its configs."""
+    with trace_span("ccm.promote", interprocedural=interprocedural):
+        analyses = {name: analyze_spill_webs(fn)
+                    for name, fn in program.functions.items()}
+        report = decide_postpass(program, analyses, machine.ccm_bytes,
+                                 interprocedural)
+        rewrite_postpass(program, report)
+    _count_promotions(report.functions.values())
     return report

@@ -35,13 +35,12 @@ from ..ccm import (CcmPlacementProvider, PromotionReport, SpillPlacement,
                    analyze_spill_webs, compact_spill_memory, decide_postpass,
                    rewrite_postpass, stacked_analyses)
 from ..exec import ArtifactCache, StageClock, SweepStats, run_jobs
-from ..exec.batching import group_batches
 from ..exec.compare import values_match as _values_match
 from ..frontend import compile_source
 from ..ir import Program, verify_program
 from ..machine import (BatchMember, BatchSimulation, BatchSplit,
                        MachineConfig, RunStats, SimulationError, Simulator,
-                       arch_signature, program_fingerprint)
+                       arch_signature, group_batches, program_fingerprint)
 from ..opt import optimize_program
 from ..regalloc import (allocate_function, lower_calling_convention,
                         regalloc_engine)

@@ -18,9 +18,6 @@ share:
 * :mod:`repro.exec.stats` — per-stage wall/CPU timing and cache
   hit-rate accounting, surfaced as ``--stats`` JSON so perf regressions
   in the compiler itself stay visible.
-* :mod:`repro.exec.batching` — deterministic grouping of jobs into
-  simulation batches (one architectural pass per group of configs that
-  compile to identical code).
 * :mod:`repro.exec.wholeprog` — the SCC-partitioned whole-program
   compilation driver: condense the call graph, schedule SCC waves onto
   a persistent :class:`~repro.exec.pool.JobPool` callee-before-caller,
@@ -36,7 +33,6 @@ and fail the other).
 
 from .artifacts import (ArtifactCache, code_version, default_cache_budget,
                         default_cache_dir, parse_bytes)
-from .batching import group_batches
 from .compare import FLOAT_RTOL, values_match
 from .pool import JobPool, default_jobs, run_jobs
 from .stats import StageClock, SweepStats
@@ -44,7 +40,6 @@ from .stats import StageClock, SweepStats
 __all__ = [
     "ArtifactCache", "code_version", "default_cache_budget",
     "default_cache_dir", "parse_bytes",
-    "group_batches",
     "FLOAT_RTOL", "values_match",
     "JobPool", "default_jobs", "run_jobs",
     "StageClock", "SweepStats",

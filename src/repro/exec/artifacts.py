@@ -22,7 +22,7 @@ An entry's key is ``sha256`` over three components:
   change would silently mask the change under test.
 
 Entries live under ``<root>/objects/<k[:W]>/<k>.pkl``, a git-style
-key-prefix fan-out whose width ``W`` (``shard_width``, default 2 = 256
+key-prefix fan-out whose width ``W`` (``_SHARD_WIDTH`` = 2, 256
 shards) keeps directory listings short even at millions of entries.
 ``root`` defaults to ``$REPRO_CACHE_DIR`` or ``~/.cache/repro-ccm``;
 ``clear()`` (or ``rm -rf``) empties it safely.
@@ -74,6 +74,9 @@ _FORMAT = "repro-artifact-v1"
 #: trigger an eviction sweep after writing this fraction of the budget
 #: since the last sweep (amortizes the directory scan over many puts)
 _SWEEP_FRACTION = 8
+
+#: hex digits of the key prefix naming an entry's shard directory
+_SHARD_WIDTH = 2
 
 
 def default_cache_dir() -> str:
@@ -185,8 +188,7 @@ class ArtifactCache:
 
     def __init__(self, root: Optional[str] = None,
                  version: Optional[str] = None,
-                 budget_bytes: Optional[int] = None,
-                 shard_width: int = 2):
+                 budget_bytes: Optional[int] = None):
         self.root = root or default_cache_dir()
         if version is None:
             version = code_version()
@@ -200,7 +202,6 @@ class ArtifactCache:
         self.version = version
         self.budget_bytes = (budget_bytes if budget_bytes is not None
                              else default_cache_budget())
-        self.shard_width = shard_width
         self.hits = 0
         self.misses = 0
         self.errors = 0          # corrupt entries recovered as misses
@@ -219,7 +220,7 @@ class ArtifactCache:
         return digest.hexdigest()
 
     def _path(self, key: str) -> str:
-        return os.path.join(self.root, "objects", key[:self.shard_width],
+        return os.path.join(self.root, "objects", key[:_SHARD_WIDTH],
                             key + ".pkl")
 
     # -- access ---------------------------------------------------------------
@@ -357,7 +358,7 @@ class ArtifactCache:
             "entries": len(entries),
             "total_bytes": sum(size for _, size, _ in entries),
             "shards": len(shards),
-            "shard_width": self.shard_width,
+            "shard_width": _SHARD_WIDTH,
             "budget_bytes": self.budget_bytes,
         }
 

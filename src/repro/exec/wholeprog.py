@@ -272,7 +272,8 @@ class WholeProgramReport:
             self.cycle_members += 1
             if reported > own:
                 self.conservative_full += 1
-        if own >= self.ccm_bytes:
+        if self.ccm_bytes and own >= self.ccm_bytes:
+            # with no CCM nothing is full, whatever the (zero) marks
             self.genuinely_full += 1
         bucket = self._bucket(own)
         self.hw_histogram[bucket] = self.hw_histogram.get(bucket, 0) + 1

@@ -1,8 +1,8 @@
 """Abstract target machine: configuration, simulator, and cache models."""
 
 from .batch import (BatchMember, BatchSimulation, BatchSplit, BatchedCaches,
-                    arch_signature, batch_key, program_fingerprint,
-                    program_uses_ccm)
+                    arch_signature, batch_key, group_batches,
+                    program_fingerprint, program_uses_ccm)
 from .cache import CacheConfig, CacheStats, DataCache
 from .simulator import (OutOfFuel, RunResult, RunStats, SimulationError,
                         Simulator, POISON)
@@ -11,7 +11,7 @@ from .target import (DEFAULT_MACHINE, MachineConfig, PAPER_MACHINE_1024,
 
 __all__ = [
     "BatchMember", "BatchSimulation", "BatchSplit", "BatchedCaches",
-    "arch_signature", "batch_key", "program_fingerprint",
+    "arch_signature", "batch_key", "group_batches", "program_fingerprint",
     "program_uses_ccm",
     "CacheConfig", "CacheStats", "DataCache", "OutOfFuel", "RunResult",
     "RunStats", "SimulationError", "Simulator", "POISON",

@@ -57,7 +57,8 @@ import hashlib
 import marshal
 from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import (Dict, Hashable, Iterable, List, Optional, Sequence,
+                    Tuple, Union)
 
 from ..ir import Opcode, Program
 from ..ir.operands import VirtualReg
@@ -201,6 +202,28 @@ def program_fingerprint(program: Program) -> str:
 def batch_key(program: Program, machine: MachineConfig) -> tuple:
     """Grouping key: programs with equal keys may share one batch."""
     return (program_fingerprint(program), arch_signature(machine))
+
+
+def group_batches(keys: Iterable[Optional[Hashable]]) -> List[List[int]]:
+    """Partition job indices into batches of equal keys.
+
+    Group *composition* is part of the execution plan, so it must be a
+    pure function of the job list: groups appear in first-seen order
+    and each lists its member indices in input order, through an
+    insertion-ordered dict keyed by content digests (:func:`batch_key`),
+    never through set/dict iteration over hash-randomized values.  A
+    sweep fanned out across worker processes with different
+    ``PYTHONHASHSEED`` values must form identical batches (the
+    cross-process determinism test in ``tests/test_sim_batch_fuzz.py``
+    enforces it).  ``None`` keys mark unbatchable jobs (e.g. configs
+    that failed to compile) and are excluded from every group.
+    """
+    groups: dict = {}
+    for index, key in enumerate(keys):
+        if key is None:
+            continue
+        groups.setdefault(key, []).append(index)
+    return list(groups.values())
 
 
 # -- batched cache state (struct-of-arrays) ------------------------------------
@@ -348,7 +371,7 @@ class BatchSimulation:
     def __init__(self, program: Program,
                  members: Sequence[Union[BatchMember, MachineConfig]],
                  fuel: int = 50_000_000, poison_caller_saved: bool = False,
-                 profile: bool = False, clock=None):
+                 clock=None):
         if not members:
             raise ValueError("a batch needs at least one member")
         self.members = [_as_member(m) for m in members]
@@ -371,8 +394,7 @@ class BatchSimulation:
         # canonical machine (globals layout, memory, CCM, physical file)
         # shared by the whole batched pass
         self._sim = Simulator(program, canonical, fuel=fuel,
-                              poison_caller_saved=poison_caller_saved,
-                              profile=profile)
+                              poison_caller_saved=poison_caller_saved)
 
     def globals_snapshot(self) -> Dict[str, tuple]:
         """Final global-array contents — identical for every member, so
@@ -417,7 +439,7 @@ class BatchSimulation:
             caches = BatchedCaches([m.cache for m in members])
         try:
             with _staged(self.clock, "execute.batch"):
-                value, n, counts, eng = drive(self._sim, entry, args, caches)
+                value, n, eng = drive(self._sim, entry, args, caches)
         except SimulationError:
             if self._mixed_ccm:
                 # smaller-limit members may have trapped earlier, and
@@ -441,9 +463,8 @@ class BatchSimulation:
             cstats = caches.member_stats(i) if caches is not None else None
             main_cycles = (caches.lat[i] if cstats is not None
                            else plain_ops * machine.memory_latency)
-            stats = run_stats(
-                eng, n, dict(counts) if counts is not None else None,
-                machine, main_cycles + ccm_ops * machine.ccm_latency)
+            stats = run_stats(eng, n, machine,
+                              main_cycles + ccm_ops * machine.ccm_latency)
             stats.cache = cstats
             if recorder is not None:
                 count_run(recorder, stats)

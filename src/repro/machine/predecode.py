@@ -17,7 +17,7 @@ spill traffic:
   hot loop never touches a label;
 * the decoded form is cached per :class:`~repro.ir.Function` (a
   :class:`weakref.WeakKeyDictionary`, validated by a content
-  fingerprint because passes like the profile-guided CCM promoter
+  fingerprint because passes like CCM promotion and compaction
   mutate instructions *in place* between simulations) and shared
   *across* structurally-identical functions through a content-keyed
   weak-value map — in a difftest lattice most configs compile to
@@ -32,9 +32,8 @@ timing-only machine variants; both build their :class:`RunStats` with
 
 Bit-identity with the reference interpreter kept in
 ``tests/sim_oracle.py`` is a hard contract: same return value, same
-:class:`RunStats` field for field — including ``block_counts``, cache
-statistics, poison semantics, and the exact kind and message of every
-trap.  The simulator fuzz suites under ``tests/`` enforce it over the
+:class:`RunStats` field for field — including cache statistics —
+poison semantics, and the exact kind and message of every trap.  The simulator fuzz suites under ``tests/`` enforce it over the
 differential-testing corpus.
 
 Cycle accounting is lazy where the interpreter's is eager: plain
@@ -107,11 +106,10 @@ def _bad_read(frame, reg, value):
 class _DBlock:
     """A decoded basic block: closures plus a fell-off-the-end sentinel."""
 
-    __slots__ = ("label", "count_key", "steps")
+    __slots__ = ("label", "steps")
 
-    def __init__(self, fn_name: str, label: str):
+    def __init__(self, label: str):
         self.label = label
-        self.count_key = (fn_name, label)
         self.steps: List = []
 
 
@@ -720,7 +718,7 @@ _OP_IDS = {op: n for n, op in enumerate(Opcode)}
 def _fingerprint(fn) -> int:
     """Content hash of everything the decoder bakes into closures.
 
-    Object identity is not enough: the profile-guided CCM promoter and
+    Object identity is not enough: CCM promotion, spill compaction and
     the peephole passes rewrite instructions *in place* (opcode, imm,
     operands) between simulations of the same :class:`Function`.
 
@@ -790,7 +788,7 @@ def _decode(fn, machine, has_cache: bool) -> DecodedFunction:
     dec = _Decoder(fn, machine, has_cache)
     # number the parameters first so the slot layout is stable
     param_descs = tuple(dec.desc(p) for p in fn.params)
-    blocks = {b.label: _DBlock(fn.name, b.label) for b in fn.blocks}
+    blocks = {b.label: _DBlock(b.label) for b in fn.blocks}
     for b in fn.blocks:
         steps = blocks[b.label].steps
         for instr in b.instructions:
@@ -877,9 +875,8 @@ def drive(sim, entry: Optional[str], args, cache):
     Mutates the simulator's persistent state (``memory``, ``ccm``,
     ``phys``) exactly like the reference interpreter, so repeated runs
     observe the same machine; memory accesses go through ``cache`` (see
-    :func:`_prepare_engine`).  Returns ``(value, instructions,
-    block_counts, eng)``; ``eng`` carries the dynamic operation counts
-    for :func:`run_stats`.
+    :func:`_prepare_engine`).  Returns ``(value, instructions, eng)``;
+    ``eng`` carries the dynamic operation counts for :func:`run_stats`.
     """
     program = sim.program
     entry = entry or program.entry_name
@@ -892,16 +889,14 @@ def drive(sim, entry: Optional[str], args, cache):
     dfn = decode_function(fn, machine, eng.has_cache)
     eng.decoded[entry] = dfn
 
-    counts: Optional[Dict] = {} if sim.profile else None
     try:
-        value, n = _loop(eng, dfn, args, sim.fuel, sim.poison_caller_saved,
-                         counts)
+        value, n = _loop(eng, dfn, args, sim.fuel, sim.poison_caller_saved)
     finally:
         _writeback_phys(sim, eng)
-    return value, n, counts, eng
+    return value, n, eng
 
 
-def run_stats(eng: "_Engine", n: int, counts: Optional[Dict], machine,
+def run_stats(eng: "_Engine", n: int, machine,
               memory_cycles: int) -> RunStats:
     """The :class:`RunStats` of one driven run under ``machine``.
 
@@ -917,18 +912,16 @@ def run_stats(eng: "_Engine", n: int, counts: Optional[Dict], machine,
         instructions=n, loads=eng.loads, stores=eng.stores,
         spill_stores=eng.spill_stores, spill_loads=eng.spill_loads,
         ccm_stores=eng.ccm_stores, ccm_loads=eng.ccm_loads,
-        calls=eng.calls, max_ccm_offset=eng.max_ccm, block_counts=counts)
+        calls=eng.calls, max_ccm_offset=eng.max_ccm)
 
 
-def _loop(eng, dfn, args, fuel, poison, counts):
+def _loop(eng, dfn, args, fuel, poison):
     """The main loop: bare closures, no accounting."""
     eng.depth = dfn.frame_size
     frame = _DFrame(dfn, eng, STACK_BASE - dfn.frame_size)
     files = frame.files
     for (f, x), value in zip(dfn.param_descs, args):
         files[f][x] = value
-    if counts is not None:
-        counts[dfn.entry.count_key] = 1
     stack = [frame]
     steps = dfn.entry.steps
     idx = 0
@@ -946,9 +939,6 @@ def _loop(eng, dfn, args, fuel, poison, counts):
         if cls is _DBlock:
             steps = ctl.steps
             idx = 0
-            if counts is not None:
-                key = ctl.count_key
-                counts[key] = counts.get(key, 0) + 1
             continue
         if cls is tuple:                        # return
             eng.depth -= frame.dfn.frame_size
@@ -977,11 +967,7 @@ def _loop(eng, dfn, args, fuel, poison, counts):
             frame.ret_idx = idx + 1
             stack.append(ctl)
             frame = ctl
-            entry_block = ctl.dfn.entry
-            if counts is not None:
-                key = entry_block.count_key
-                counts[key] = counts.get(key, 0) + 1
-            steps = entry_block.steps
+            steps = ctl.dfn.entry.steps
             idx = 0
             continue
         return None, n                          # _HALT

@@ -85,6 +85,10 @@ class RunStats:
     latencies), so ``cycles == op_cycles + memory_cycles`` always holds
     — the property test over the fuzz corpus enforces it, so no path
     can double-count or drop cycles.
+
+    Every field is a count fixed by the program and the machine, so
+    the batched and reference engines are held equal to this one
+    field for field.
     """
 
     cycles: int = 0
@@ -100,9 +104,6 @@ class RunStats:
     calls: int = 0
     max_ccm_offset: int = -1
     cache: Optional[CacheStats] = None
-    #: (function name, block label) -> executions; filled when the
-    #: simulator runs with profile=True (profile-guided CCM allocation)
-    block_counts: Optional[Dict] = None
 
     @property
     def spill_traffic(self) -> int:
@@ -124,13 +125,12 @@ class Simulator:
 
     def __init__(self, program: Program, machine: MachineConfig = DEFAULT_MACHINE,
                  cache: Optional[DataCache] = None, fuel: int = 50_000_000,
-                 poison_caller_saved: bool = False, profile: bool = False):
+                 poison_caller_saved: bool = False):
         self.program = program
         self.machine = machine
         self.cache = cache
         self.fuel = fuel
         self.poison_caller_saved = poison_caller_saved
-        self.profile = profile
 
         self.memory: Dict[int, object] = {}
         self.ccm: Dict[int, object] = {}
@@ -193,8 +193,8 @@ class Simulator:
 
     def _run(self, entry: Optional[str], args: List) -> RunResult:
         from .predecode import drive, run_stats
-        value, n, counts, eng = drive(self, entry, args, self.cache)
-        stats = run_stats(eng, n, counts, self.machine, eng.memory_cycles)
+        value, n, eng = drive(self, entry, args, self.cache)
+        stats = run_stats(eng, n, self.machine, eng.memory_cycles)
         if self.cache is not None:
             stats.cache = self.cache.stats
         return RunResult(value, stats)

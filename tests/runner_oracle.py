@@ -14,8 +14,9 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-from repro.ccm import (allocate_function_integrated, compact_spill_memory,
-                       promote_spills_postpass)
+from ccm_oracle import promote_spills_walk
+
+from repro.ccm import allocate_function_integrated, compact_spill_memory
 from repro.difftest.runner import (DiffConfig, Divergence, SeedResult,
                                    _chaitin, _execute, _judge,
                                    _machine_error_divergence, _machine_for,
@@ -33,10 +34,10 @@ __all__ = ["compile_config_scalar", "check_source_scalar",
 
 def compile_config_scalar(stages: _StageCache, config: DiffConfig):
     """One config's program on its own clone of the stage cache's
-    snapshot: a fresh post-pass run (its own web analysis and
-    compaction), the placement materialized for the config's size, or
-    the SSA backend's own allocation at that size.  Returns (program,
-    machine), not yet verified."""
+    snapshot: the per-function post-pass walk of ``ccm_oracle`` (its
+    own web analyses and compaction), the placement materialized for
+    the config's size, or the SSA backend's own allocation at that
+    size.  Returns (program, machine), not yet verified."""
     machine = _machine_for(config)
     setting = _setting(config)
     if config.variant == "integrated":
@@ -58,11 +59,9 @@ def compile_config_scalar(stages: _StageCache, config: DiffConfig):
         return program, machine
     program = stages.allocated(*setting).clone()
     if config.variant in ("postpass", "postpass_cg"):
-        promote_spills_postpass(
-            program, machine,
-            interprocedural=config.variant == "postpass_cg",
-            compact_heavyweights=config.compaction)
-    elif config.compaction:
+        promote_spills_walk(program, machine,
+                            interprocedural=config.variant == "postpass_cg")
+    if config.compaction:
         for fn in program.functions.values():
             compact_spill_memory(fn)
     return program, machine

@@ -15,8 +15,8 @@ tracing wrapper in ``run`` are the shipped ones.  The equivalence
 suites (``test_sim_engine_fuzz``, ``test_sim_predecode``,
 ``test_sim_batch_fuzz``, ``test_regalloc_ssa_fuzz``) require the
 shipped simulator to match it field for field: return value, every
-:class:`RunStats` field, ``block_counts``, cache statistics, poison
-semantics, and the kind and message of every trap.
+:class:`RunStats` field including cache statistics, poison semantics,
+and the kind and message of every trap.
 """
 
 from __future__ import annotations
@@ -91,11 +91,6 @@ class InterpSimulator(Simulator):
         frame = self._push_frame(fn, stack)
         for param, value in zip(fn.params, args):
             self._write(frame, param, value)
-        if self.profile:
-            # block executions are counted on control-transfer edges
-            # (entry here; jump/cbr/call in _execute), not by checking
-            # frame.index == 0 on every instruction of the main loop
-            self._count_block(stats, frame)
 
         result: object = None
         while True:
@@ -129,14 +124,6 @@ class InterpSimulator(Simulator):
         frame = _Frame(fn, base)
         stack.append(frame)
         return frame
-
-    def _count_block(self, stats: RunStats, frame: _Frame) -> None:
-        """Record one execution of the block ``frame`` is entering."""
-        counts = stats.block_counts
-        if counts is None:
-            counts = stats.block_counts = {}
-        key = (frame.fn.name, frame.label)
-        counts[key] = counts.get(key, 0) + 1
 
     # -- execution ------------------------------------------------------------------
 
@@ -263,15 +250,11 @@ class InterpSimulator(Simulator):
             frame.label = instr.labels[0]
             frame.index = 0
             advance = False
-            if self.profile:
-                self._count_block(stats, frame)
         elif op is Opcode.CBR:
             cond = self._read(frame, instr.srcs[0])
             frame.label = instr.labels[0] if cond != 0 else instr.labels[1]
             frame.index = 0
             advance = False
-            if self.profile:
-                self._count_block(stats, frame)
         elif op is Opcode.CALL:
             callee = self.program.functions.get(instr.symbol)
             if callee is None:
@@ -285,8 +268,6 @@ class InterpSimulator(Simulator):
                     f"{callee.name}: arity mismatch at call from {frame.fn.name}")
             for param, value in zip(callee.params, arg_values):
                 self._write(new_frame, param, value)
-            if self.profile:
-                self._count_block(stats, new_frame)
             stats.calls += 1
             stats.cycles += latency
             self._account(instr, latency, stats)

@@ -85,8 +85,8 @@ def _skew_past_frame(monkeypatch):
     fail verification, the configs that promote spills mostly do not."""
     real = compaction.compact_spill_memory
 
-    def skewed(fn, manager=None, analysis=None):
-        result = real(fn, manager=manager, analysis=analysis)
+    def skewed(fn, analysis=None):
+        result = real(fn, analysis=analysis)
         ops = [instr for _, instr in fn.instructions()]
         if not any(instr.opcode in CCM_OPS for instr in ops):
             for instr in ops:
@@ -96,8 +96,7 @@ def _skew_past_frame(monkeypatch):
         return result
 
     # the runner (which compacts each decision key's representative)
-    # binds the name at import, the post-pass at call time
-    monkeypatch.setattr(compaction, "compact_spill_memory", skewed)
+    # and the oracle bind the name at import
     monkeypatch.setattr(runner, "compact_spill_memory", skewed)
     monkeypatch.setattr(runner_oracle, "compact_spill_memory", skewed)
 

@@ -4,7 +4,6 @@ import pytest
 
 from conftest import assert_close, compile_mfl, simulate
 
-from repro.analysis import AnalysisManager
 from repro.ccm import (compact_spill_memory, promote_function,
                        promote_spills_postpass)
 from repro.frontend import compile_source
@@ -82,6 +81,15 @@ class TestPromoteFunction:
         prog = _compiled_with_spills()
         promotion = promote_function(prog.entry, ccm_bytes=0)
         assert promotion.promoted == []
+
+    def test_zero_ccm_is_never_full(self):
+        """A zero own mark meets a zero limit, yet no CCM is not a full
+        one."""
+        prog = _compiled_with_spills(calls=True)
+        report = promote_spills_postpass(prog, MachineConfig(ccm_bytes=0),
+                                         interprocedural=True)
+        assert report.total_heavyweight > 0
+        assert report.genuinely_full == []
 
     def test_cost_ordering_prefers_hot_webs(self):
         """With a CCM that fits only some webs, the loop-resident web
@@ -235,56 +243,24 @@ entry:
 
 
 class TestSharedManagerInvalidation:
-    """Promotion and compaction rewrite instructions in place; a shared
-    AnalysisManager must drop its cached facts or a later allocator
-    round reasons about code that no longer exists (the regression here
-    was allocate -> promote -> re-allocate reusing pre-promotion
-    liveness)."""
-
-    def test_promotion_invalidates_cached_liveness(self):
-        prog = _compiled_with_spills()
-        fn = prog.entry
-        manager = AnalysisManager(fn)
-        stale = manager.liveness()
-        promotion = promote_function(fn, ccm_bytes=512, manager=manager)
-        assert promotion.promoted
-        assert manager.liveness() is not stale
-
-    def test_no_promotion_keeps_cache(self):
-        prog = _compiled_with_spills()
-        fn = prog.entry
-        manager = AnalysisManager(fn)
-        cached = manager.liveness()
-        promotion = promote_function(fn, ccm_bytes=0, manager=manager)
-        assert not promotion.promoted
-        assert manager.liveness() is cached
-
-    def test_compaction_invalidates_cached_liveness(self):
-        prog = _compiled_with_spills()
-        fn = prog.entry
-        promote_function(fn, ccm_bytes=64)
-        manager = AnalysisManager(fn)
-        stale = manager.liveness()
-        result = compact_spill_memory(fn, manager=manager)
-        if result.bytes_after < result.bytes_before:
-            assert manager.liveness() is not stale
+    """Promotion and compaction rewrite instructions in place; each
+    stage analyzes the function afresh, so a later stage never reasons
+    about code that no longer exists."""
 
     @pytest.mark.parametrize("engine", ["chaitin", "ssa"])
     def test_allocate_promote_reallocate_chain(self, engine):
-        """The full shared-manager pipeline: allocate, promote, compact,
-        each stage reusing ONE manager, must still produce a correct
-        program under both allocator backends."""
+        """Allocate, promote and compact one function at a time: the
+        chain must produce a correct program under both allocator
+        backends."""
         expected = simulate(compile_source(_pressure_source())).value
         prog = compile_source(_pressure_source())
         optimize_program(prog)
         machine = PAPER_MACHINE_512
         for fn in prog.functions.values():
             lower_calling_convention(fn, machine)
-            manager = AnalysisManager(fn)
-            allocate_function(fn, machine, manager=manager, engine=engine)
-            promote_function(fn, ccm_bytes=machine.ccm_bytes,
-                             manager=manager)
-            compact_spill_memory(fn, manager=manager)
+            allocate_function(fn, machine, engine=engine)
+            promote_function(fn, ccm_bytes=machine.ccm_bytes)
+            compact_spill_memory(fn)
         verify_program(prog)
         run = simulate(prog)
         assert_close(run.value, expected)

@@ -1,4 +1,4 @@
-"""Analyze once, place per CCM size ≡ a fresh post-pass run per size.
+"""Analyze once, place per CCM size ≡ a fresh per-function walk per size.
 
 The post-pass allocator's spill webs, their liveness, interference,
 call crossings and costs (paper section 3.1) do not depend on the CCM
@@ -6,10 +6,11 @@ size; only first-fit placement does.  The difftest stage cache
 therefore runs :func:`analyze_spill_webs` once per allocated snapshot,
 decides every post-pass config from it (:func:`decide_postpass`, no IR
 writes) and compacts with it too (:func:`stacked_analyses`).  These
-tests hold those paths equal to a fresh ``promote_spills_postpass`` on
-a fresh clone: listing, every ``frame_size`` and ``ccm_high_water``,
-and every :class:`PromotionReport` field, down to each
-:class:`FunctionPromotion` — through :func:`decide_postpass` +
+tests hold those paths, and the shipped ``promote_spills_postpass``,
+equal to the per-function walk of ``ccm_oracle.py`` on a fresh clone,
+each function compacted afresh: listing, every ``frame_size`` and
+``ccm_high_water``, and every :class:`PromotionReport` field, down to
+each :class:`FunctionPromotion` — through :func:`decide_postpass` +
 :func:`rewrite_postpass` + compaction, and through the stage cache
 against the per-config oracle of ``runner_oracle.py``.
 """
@@ -18,6 +19,7 @@ from dataclasses import fields, replace
 
 import pytest
 
+from ccm_oracle import promote_spills_walk
 from runner_oracle import compile_config_scalar
 
 from repro.ccm import (FunctionPromotion, PromotionReport,
@@ -62,13 +64,21 @@ def _assert_same_program(expected, actual, context):
 
 def _check_placement(snapshot, analyses, machine, interprocedural,
                      compaction, context):
-    """The shared analysis's decision, rewritten into a clone and
-    compacted with the same analysis, against a fresh run on its own
-    clone."""
+    """The shipped whole-program run, and the shared analysis's
+    decision rewritten into a clone and compacted with the same
+    analysis, against the per-function walk on its own clone, compacted
+    afresh."""
     fresh = snapshot.clone()
-    expected = promote_spills_postpass(
-        fresh, machine, interprocedural=interprocedural,
-        compact_heavyweights=compaction)
+    expected = promote_spills_walk(fresh, machine, interprocedural)
+    if compaction:
+        for fn in fresh.functions.values():
+            compact_spill_memory(fn)
+    else:
+        # the shipped run compacts nothing: once per placement suffices
+        shipped = snapshot.clone()
+        _assert_same_report(expected, promote_spills_postpass(
+            shipped, machine, interprocedural), context)
+        _assert_same_program(fresh, shipped, context)
     # the decision alone: no IR writes until the rewrite
     listing = format_program(snapshot)
     decision = decide_postpass(snapshot, analyses, machine.ccm_bytes,

@@ -52,9 +52,9 @@ def _count_work(monkeypatch, seed):
         counts["clone"] += 1
         return real_clone(program)
 
-    def compact(fn, manager=None, analysis=None):
+    def compact(fn, analysis=None):
         compacted[fn.name] += 1
-        return real_compact(fn, manager=manager, analysis=analysis)
+        return real_compact(fn, analysis=analysis)
 
     def fingerprint(program):
         counts["fingerprint"] += 1
@@ -66,7 +66,6 @@ def _count_work(monkeypatch, seed):
             caches.append(self)
 
     monkeypatch.setattr(Program, "clone", clone)
-    monkeypatch.setattr(compaction, "compact_spill_memory", compact)
     monkeypatch.setattr(runner, "compact_spill_memory", compact)
     monkeypatch.setattr(runner, "program_fingerprint", fingerprint)
     monkeypatch.setattr(runner, "_StageCache", StageCache)

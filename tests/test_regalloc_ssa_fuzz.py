@@ -102,7 +102,7 @@ def _check_oracle_seed(seed: int) -> None:
             results = {}
             for engine in ("interp", "predecode"):
                 sim = simulator(engine, program, machine, fuel=FUEL,
-                                poison_caller_saved=True, profile=True)
+                                poison_caller_saved=True)
                 try:
                     run = sim.run()
                     results[engine] = ("value", run.value,

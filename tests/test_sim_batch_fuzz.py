@@ -90,7 +90,7 @@ def _members_for(program, machine):
 def _observe_scalar(program, member, engine):
     """Everything observable about one scalar run, as comparable data."""
     sim = simulator(engine, program, member.machine, fuel=FUEL,
-                    poison_caller_saved=True, profile=True,
+                    poison_caller_saved=True,
                     cache=(DataCache(member.cache)
                            if member.cache is not None else None))
     try:
@@ -108,7 +108,7 @@ def _observe_batch(program, members):
     :class:`BatchSplit` re-dispatches each limit class as its own
     strict batch, exactly like the sweep runner."""
     batch = BatchSimulation(program, members, fuel=FUEL,
-                            poison_caller_saved=True, profile=True)
+                            poison_caller_saved=True)
     try:
         runs = batch.run()
     except BatchSplit as split:
@@ -192,10 +192,9 @@ import hashlib
 
 from repro.difftest.gen import generate_source
 from repro.difftest.runner import FUEL, compile_config, config_lattice
-from repro.exec import group_batches
 from repro.frontend import compile_source
 from repro.machine import (BatchMember, BatchSimulation, BatchSplit,
-                           SimulationError, batch_key)
+                           SimulationError, batch_key, group_batches)
 
 digest = hashlib.sha256()
 configs = config_lattice((0, 64))

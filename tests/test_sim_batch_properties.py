@@ -27,14 +27,14 @@ import pytest
 
 from repro.difftest.gen import generate_source
 from repro.difftest.runner import FUEL, DiffConfig, compile_config
-from repro.exec import group_batches
 from repro.frontend import compile_source
 from repro.ir import parse_program
 from repro.ir.printer import format_program
 from repro.machine import (BatchMember, BatchSimulation, BatchSplit,
                            BatchedCaches, CacheConfig, DataCache,
                            MachineConfig, SimulationError, Simulator,
-                           batch_key, program_fingerprint, program_uses_ccm)
+                           batch_key, group_batches, program_fingerprint,
+                           program_uses_ccm)
 
 CACHE_GEOMETRIES = (
     CacheConfig(size_bytes=1024, line_bytes=32, associativity=1,

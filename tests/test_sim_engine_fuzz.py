@@ -3,7 +3,7 @@
 The closure-compiled simulator driver (``repro.machine.predecode``) and
 the reference interpreter (``InterpSimulator`` in ``sim_oracle.py``) must be
 observationally indistinguishable — same return value, same
-:class:`RunStats` field for field (``block_counts``, cache statistics),
+:class:`RunStats` field for field (cache statistics included),
 same final global-array contents, and the same
 exception type, ``kind``, and message on every trapping or malformed
 seed.  These property tests pin that contract against the
@@ -52,7 +52,7 @@ CONFIGS = (
 def _observe(program, machine, engine: str, use_cache: bool):
     """Everything observable about one execution, as comparable data."""
     sim = simulator(engine, program, machine, fuel=FUEL,
-                    poison_caller_saved=True, profile=True,
+                    poison_caller_saved=True,
                     cache=DataCache(CacheConfig()) if use_cache else None)
     try:
         run = sim.run()
@@ -111,12 +111,10 @@ config = DiffConfig("integrated", optimize=True, compaction=True,
 for seed in range(8):
     program, machine = compile_config(
         compile_source(generate_source(seed)), config)
-    sim = Simulator(program, machine, fuel=FUEL, poison_caller_saved=True,
-                    profile=True)
+    sim = Simulator(program, machine, fuel=FUEL, poison_caller_saved=True)
     try:
         run = sim.run()
-        obs = ("value", run.value, sorted(run.stats.block_counts.items()),
-               dataclasses.asdict(run.stats))
+        obs = ("value", run.value, dataclasses.asdict(run.stats))
     except SimulationError as exc:
         obs = ("error", type(exc).__name__, exc.kind, str(exc))
     digest.update(repr(obs).encode())

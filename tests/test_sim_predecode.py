@@ -350,74 +350,6 @@ entry:
         assert pre.stats.cache.hits + pre.stats.cache.misses == 3
 
 
-MULTI_BLOCK_CALLS = """
-.program p
-.func main()
-entry:
-    loadI 0 => %v0
-    loadI 0 => %v1
-    jump -> head
-head:
-    loadI 3 => %v2
-    cmp_LT %v0, %v2 => %v3
-    cbr %v3 -> body, exit
-body:
-    call bump(%v1) => %v1
-    addI %v0, 1 => %v0
-    jump -> head
-exit:
-    ret %v1
-.endfunc
-.func bump(%v0)
-entry:
-    loadI 1 => %v1
-    cmp_LT %v0, %v1 => %v2
-    cbr %v2 -> small, big
-small:
-    addI %v0, 10 => %v3
-    ret %v3
-big:
-    addI %v0, 1 => %v3
-    ret %v3
-.endfunc
-"""
-
-
-class TestBlockProfiling:
-    """Satellite: block counting hoisted onto control-flow edges."""
-
-    def test_block_counts_pinned_multiblock_multicall(self):
-        results = {}
-        for engine in ENGINES:
-            sim = simulator(engine, parse_program(MULTI_BLOCK_CALLS),
-                            profile=True)
-            results[engine] = sim.run()
-        expected = {
-            ("main", "entry"): 1,
-            ("main", "head"): 4,
-            ("main", "body"): 3,
-            ("main", "exit"): 1,
-            ("bump", "entry"): 3,
-            ("bump", "small"): 1,
-            ("bump", "big"): 2,
-        }
-        for engine, result in results.items():
-            assert result.stats.block_counts == expected, engine
-        assert results["interp"].value == results["predecode"].value == 12
-        assert results["interp"].stats == results["predecode"].stats
-
-    def test_profile_off_leaves_counts_none(self):
-        interp, pre = run_both(MULTI_BLOCK_CALLS)
-        assert pre.stats.block_counts is None
-
-    def test_profile_does_not_change_cycles(self):
-        plain = Simulator(parse_program(MULTI_BLOCK_CALLS)).run()
-        profiled = Simulator(parse_program(MULTI_BLOCK_CALLS),
-                             profile=True).run()
-        assert plain.stats.cycles == profiled.stats.cycles
-        assert plain.stats.instructions == profiled.stats.instructions
-
-
 class TestStatePersistence:
     def test_entry_args_and_named_entry(self):
         interp, pre = run_both("""

@@ -14,6 +14,8 @@ import os
 import subprocess
 import sys
 
+from dataclasses import replace
+
 import pytest
 
 from repro.exec import ArtifactCache, SweepStats
@@ -37,13 +39,21 @@ SMOKE_PROFILES = [
     AppProfile(n_routines=5, seed=7),
 ]
 
+#: the smoke shapes on the paper machine, plus a recursive graph with no
+#: CCM at all, where every mark is 0 and no routine is full
+EQUIVALENCE_CASES = [
+    pytest.param(profile, MACHINE, id=f"n{profile.n_routines}-s{profile.seed}")
+    for profile in SMOKE_PROFILES
+] + [pytest.param(AppProfile(n_routines=30, seed=2, recursion_share=0.2),
+                  replace(MACHINE, ccm_bytes=0), id="n30-s2-ccm0")]
+
 FUZZ_SEEDS = range(0, 100)
 
 
-def engine_report(app, **kw):
+def engine_report(app, machine=MACHINE, **kw):
     kw.setdefault("jobs", 1)
     kw.setdefault("keep_routines", True)
-    return compile_whole_program(app, MACHINE, **kw)
+    return compile_whole_program(app, machine, **kw)
 
 
 def assert_identical(got, want, label):
@@ -52,15 +62,19 @@ def assert_identical(got, want, label):
         assert got.routines[name] == want.routines[name], \
             f"{label}: routine {name} diverged"
     assert got.signature == want.signature, label
+    assert got.genuinely_full == want.genuinely_full, label
 
 
 class TestEquivalence:
-    @pytest.mark.parametrize("profile", SMOKE_PROFILES,
-                             ids=lambda p: f"n{p.n_routines}-s{p.seed}")
-    def test_engine_matches_monolithic_walk(self, profile):
+    @pytest.mark.parametrize("profile,machine", EQUIVALENCE_CASES)
+    def test_engine_matches_monolithic_walk(self, profile, machine):
         app = generate_application(profile)
-        assert_identical(engine_report(app), monolithic_report(app, MACHINE),
+        got = engine_report(app, machine)
+        assert_identical(got, monolithic_report(app, machine),
                          f"seed {profile.seed}")
+        if machine.ccm_bytes == 0:
+            assert got.total_promoted == 0
+            assert got.genuinely_full == 0
 
     def test_coalescing_changes_nothing(self):
         app = generate_application(SMOKE_PROFILES[0])
