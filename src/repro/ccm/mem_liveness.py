@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..analysis import CFG, AnalysisManager, LoopInfo, iter_bits
-from ..ir import Function, Opcode, SPILL_LOADS, SPILL_STORES
+from ..ir import Function, Opcode
 from .slots import Site, SpillWeb
 
 

@@ -25,19 +25,20 @@ size.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..analysis import AnalysisManager, iter_bits
 from ..ir import (Function, Instruction, Opcode, PhysReg, RegClass,
-                  VirtualReg, make_ccm_load, make_ccm_store, make_move,
-                  make_reload, make_spill)
+                  VirtualReg, make_ccm_load, make_ccm_store, make_reload,
+                  make_spill)
 from ..machine import MachineConfig
 from ..trace import trace_counter, trace_span
 from .interference import (InterferenceGraph, PseudoNode,
                            build_interference_graph)
-from .spill_costs import INFINITE, compute_spill_costs
+from .spill_costs import compute_spill_costs
 
 
 class AllocationError(RuntimeError):
@@ -151,6 +152,8 @@ class ChaitinBriggsAllocator:
             costs = compute_spill_costs(self.fn, self.no_spill,
                                         loop_info=self.analysis.loops())
             stack = self._simplify(graph, costs)
+            trace_counter("regalloc.blocked_picks",
+                          sum(1 for _, potential in stack if potential))
             assignment, actual_spills = self._select(graph, stack)
             if not actual_spills:
                 self._rewrite(assignment)
@@ -293,48 +296,104 @@ class ChaitinBriggsAllocator:
 
         Returns the select stack of (node, potential_spill) pairs.
 
-        All degree bookkeeping lives in graph-id space (a flat list
-        indexed by node id, decremented with an inlined low-bit loop):
-        this inner loop runs once per (node, neighbor) edge and is the
-        hottest code in the allocator.  The ``removable`` *set* of nodes
-        is kept as the iteration source for candidate selection so the
-        removal order — and hence coloring and tie-breaks — is exactly
-        the historical one."""
+        The removal order is the historical sweep order, kept as the
+        oracle in ``tests/regalloc_oracle.py``: each sweep removes every
+        node whose degree is below k, in the iteration order of the
+        ``removable`` set built below; when none is, the node of least
+        cost / degree goes, ties to the earliest in that order.  A set
+        never reorders on ``discard``, so a node's *rank* — its position
+        in the first iteration — fixes every tie-break.  Here the work
+        follows the edges instead of the sweeps: a node's degree is its
+        count of physical and still-removable neighbors, only the live
+        neighbors of removed nodes are re-tested (and only those close
+        enough to k to have fallen below it), and the blocked pick pops
+        a lazy heap keyed (cost / degree, rank).  Costs are >= 0 and
+        degrees only fall, so keys only rise: a popped entry whose key
+        is stale is pushed back with the fresh one."""
         ids = graph._ids
         adj = graph._adj
-        vreg_mask = graph.vreg_mask
-        pseudo_mask = graph.pseudo_mask
-        deg = [0] * len(graph._node_list)
-        kof: Dict[object, int] = {}
+        node_list = graph._node_list
+        phys_mask = graph.phys_mask
         removable: Set = set()
         for node in graph.nodes():
             if isinstance(node, VirtualReg):
                 removable.add(node)
-                i = ids[node]
-                deg[i] = (adj[i] & ~pseudo_mask).bit_count()
-                kof[node] = self._k(node.rclass)
+        rank = [0] * len(node_list)
+        kof = [0] * len(node_list)
+        order: List[int] = []  # graph ids in rank order
+        alive = 0
+        for r, node in enumerate(removable):
+            i = ids[node]
+            rank[i] = r
+            kof[i] = self._k(node.rclass)
+            order.append(i)
+            alive |= 1 << i
         stack: List[Tuple] = []
+        heap: Optional[List[Tuple]] = None
+        live = phys_mask | alive
 
-        def remove(node, potential: bool) -> None:
-            stack.append((node, potential))
-            removable.discard(node)
-            mask = adj[ids[node]] & vreg_mask
-            while mask:
-                low = mask & -mask
-                deg[low.bit_length() - 1] -= 1
-                mask ^= low
+        def spill_key(i: int) -> float:
+            return (costs.get(node_list[i], 0.0)
+                    / max((adj[i] & live).bit_count(), 1))
 
-        while removable:
-            trivially = [n for n in removable if deg[ids[n]] < kof[n]]
-            if trivially:
-                for node in trivially:
-                    remove(node, potential=False)
-                continue
-            # blocked: choose the cheapest spill candidate (cost / degree)
-            best = min(removable,
-                       key=lambda n: (costs.get(n, 0.0)
-                                      / max(deg[ids[n]], 1)))
-            remove(best, potential=True)
+        # A degree falls by at most one per removal, so a node of degree
+        # d >= k, tested when ``removed`` was r, cannot drop below k
+        # before r + d - k + 1 removals: it waits in wake[r + d - k] and
+        # joins ``unsure`` (the nodes whose degree must be re-tested when
+        # a neighbor goes) once ``removed`` passes that threshold.
+        wake: Dict[int, int] = {}
+        unsure = 0
+        removed = 0
+        low = []
+        for i in order:
+            slack = (adj[i] & live).bit_count() - kof[i]
+            if slack < 0:
+                low.append(i)
+            else:
+                wake[slack] = wake.get(slack, 0) | (1 << i)
+        while alive:
+            if low:
+                # one sweep: nodes that fall below k meanwhile wait for
+                # the next, as the historical snapshot list made them
+                touched = 0
+                for i in low:
+                    stack.append((node_list[i], False))
+                    alive ^= 1 << i
+                    touched |= adj[i]
+                now = removed + len(low)
+            else:
+                if heap is None:
+                    heap = [(spill_key(i), rank[i], i)
+                            for i in order if (alive >> i) & 1]
+                    heapq.heapify(heap)
+                while True:
+                    key, r, i = heap[0]
+                    if not (alive >> i) & 1:
+                        heapq.heappop(heap)
+                        continue
+                    fresh = spill_key(i)
+                    if fresh == key:
+                        heapq.heappop(heap)
+                        break
+                    heapq.heapreplace(heap, (fresh, r, i))
+                stack.append((node_list[i], True))
+                alive ^= 1 << i
+                touched = adj[i]
+                now = removed + 1
+            for due in range(removed, now):
+                unsure |= wake.pop(due, 0)
+            removed = now
+            live = phys_mask | alive
+            low = []
+            for j in iter_bits(touched & alive & unsure):
+                slack = (adj[j] & live).bit_count() - kof[j]
+                if slack < 0:
+                    low.append(j)
+                else:
+                    unsure ^= 1 << j
+                    due = removed + slack
+                    wake[due] = wake.get(due, 0) | (1 << j)
+            low.sort(key=rank.__getitem__)
         return stack
 
     def _select(self, graph: InterferenceGraph, stack: List[Tuple]):
@@ -343,37 +402,28 @@ class ChaitinBriggsAllocator:
         ids = graph._ids
         adj = graph._adj
         node_list = graph._node_list
-        phys_mask = graph.phys_mask
-        # color_of[j]: the color occupied by node j — the register index
-        # for a physical node, the assigned color for a colored vreg.
-        color_of = [0] * len(node_list)
-        pm = phys_mask
-        while pm:
-            low = pm & -pm
-            j = low.bit_length() - 1
-            color_of[j] = node_list[j].index
-            pm ^= low
-        assigned_mask = 0
+        # color_mask[c]: the nodes occupying color c — the physical
+        # registers of index c and the vregs colored c so far; a node's
+        # color is the first one none of its neighbors occupies
+        color_mask = [0] * max(self._k(rclass) for rclass in RegClass)
+        for j in iter_bits(graph.phys_mask):
+            c = node_list[j].index
+            if c < len(color_mask):
+                color_mask[c] |= 1 << j
         for node, potential in reversed(stack):
-            k = self._k(node.rclass)
             i = ids[node]
-            taken: Set[int] = set()
-            mask = adj[i] & (phys_mask | assigned_mask)
-            while mask:
-                low = mask & -mask
-                taken.add(color_of[low.bit_length() - 1])
-                mask ^= low
-            color = next((c for c in range(k) if c not in taken), None)
-            if color is None:
+            neighbors = adj[i]
+            for c in range(self._k(node.rclass)):
+                if not neighbors & color_mask[c]:
+                    assignment[node] = PhysReg(c, node.rclass)
+                    color_mask[c] |= 1 << i
+                    break
+            else:
                 if node in self.no_spill:
                     raise AllocationError(
                         f"{self.fn.name}: spill temporary {node} is "
                         f"uncolorable; register pressure exceeds the machine")
                 actual_spills.append(node)
-            else:
-                assignment[node] = PhysReg(color, node.rclass)
-                color_of[i] = color
-                assigned_mask |= 1 << i
         return assignment, actual_spills
 
     # .. spill code ..................................................................
@@ -381,24 +431,11 @@ class ChaitinBriggsAllocator:
     # .. rematerialization (Briggs): a value defined only by constant
     # loads is recomputed at each use instead of being stored/reloaded ..
 
-    def _remat_template(self, reg) -> Optional[Instruction]:
-        """The constant-load instruction to clone per use, or None."""
-        if not self.rematerialize:
-            return None
-        remat_ops = (Opcode.LOADI, Opcode.LOADFI, Opcode.LOADG)
-        template: Optional[Instruction] = None
-        for _, instr in self.fn.instructions():
-            if reg not in instr.dsts:
-                continue
-            if instr.opcode not in remat_ops:
-                return None
-            if template is None:
-                template = instr
-            elif (instr.opcode is not template.opcode
-                  or instr.imm != template.imm
-                  or instr.symbol != template.symbol):
-                return None
-        return template
+    def _remat_templates(self) -> Dict[VirtualReg, Instruction]:
+        """This spill round's rematerialization templates.  Recomputing
+        one value at its uses touches no other value's definitions, so
+        one map serves the whole round."""
+        return remat_templates(self.fn) if self.rematerialize else {}
 
     def _rematerialize_reg(self, reg, template: Instruction) -> None:
         """Replace reg's defs with nothing and its uses with clones."""
@@ -425,9 +462,10 @@ class ChaitinBriggsAllocator:
         # the cached liveness is current here: nothing mutated the IR
         # since the graph build (or the coalesce pass that invalidated)
         self.slot_provider.begin_spill_round(self.fn, self.analysis)
+        templates = self._remat_templates()
         remaining: List[VirtualReg] = []
         for reg in spills:
-            template = self._remat_template(reg)
+            template = templates.get(reg)
             if template is not None:
                 self._rematerialize_reg(reg, template)
             else:
@@ -512,6 +550,30 @@ class ChaitinBriggsAllocator:
             block.instructions = kept
         self.fn.params = [assignment.get(p, p) if isinstance(p, VirtualReg)
                           else p for p in self.fn.params]
+
+
+def remat_templates(fn: Function) -> Dict[VirtualReg, Instruction]:
+    """Every value of ``fn`` defined only by identical constant loads
+    (never-killed constants), mapped to its first definition — the
+    instruction to clone at each use.  One pass over the program."""
+    remat_ops = (Opcode.LOADI, Opcode.LOADFI, Opcode.LOADG)
+    templates: Dict[VirtualReg, Instruction] = {}
+    barred: Set[VirtualReg] = set()
+    for _, instr in fn.instructions():
+        for reg in instr.dsts:
+            if reg in barred:
+                continue
+            prev = templates.get(reg)
+            if (instr.opcode not in remat_ops or len(instr.dsts) != 1
+                    or (prev is not None
+                        and (instr.opcode is not prev.opcode
+                             or instr.imm != prev.imm
+                             or instr.symbol != prev.symbol))):
+                barred.add(reg)
+                templates.pop(reg, None)
+            elif prev is None:
+                templates[reg] = instr
+    return templates
 
 
 def allocate_function(fn: Function, machine: MachineConfig,

@@ -56,7 +56,7 @@ from ..ir import (Function, Instruction, Opcode, PhysReg, RegClass,
 from ..machine import MachineConfig
 from ..trace import trace_counter, trace_span
 from .chaitin_briggs import (AllocationError, AllocationResult, SpillLocation,
-                             StackSlotProvider, _align)
+                             StackSlotProvider, _align, remat_templates)
 from .interference import InterferenceGraph, build_interference_graph
 from .spill_costs import compute_spill_costs
 
@@ -386,27 +386,9 @@ class SsaAllocator:
         the next spill-code mutation."""
         if not self.rematerialize:
             return {}
-        if self._remat_map is not None:
-            return self._remat_map
-        remat_ops = (Opcode.LOADI, Opcode.LOADFI, Opcode.LOADG)
-        templates: Dict[VirtualReg, Instruction] = {}
-        barred: Set[VirtualReg] = set()
-        for _, instr in self.fn.instructions():
-            for reg in instr.dsts:
-                if reg in barred:
-                    continue
-                prev = templates.get(reg)
-                if (instr.opcode not in remat_ops or len(instr.dsts) != 1
-                        or (prev is not None
-                            and (instr.opcode is not prev.opcode
-                                 or instr.imm != prev.imm
-                                 or instr.symbol != prev.symbol))):
-                    barred.add(reg)
-                    templates.pop(reg, None)
-                elif prev is None:
-                    templates[reg] = instr
-        self._remat_map = templates
-        return templates
+        if self._remat_map is None:
+            self._remat_map = remat_templates(self.fn)
+        return self._remat_map
 
     def _rematerialize_spills(self,
                               spills: List[VirtualReg]) -> List[VirtualReg]:

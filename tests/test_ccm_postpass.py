@@ -2,13 +2,13 @@
 
 import pytest
 
-from conftest import assert_close, compile_mfl, simulate
+from conftest import assert_close, simulate
 
 from repro.ccm import (compact_spill_memory, promote_function,
                        promote_spills_postpass)
 from repro.frontend import compile_source
-from repro.ir import (CCM_OPS, Opcode, SPILL_OPS, parse_function,
-                      parse_program, verify_program)
+from repro.ir import (CCM_OPS, SPILL_OPS, parse_function, parse_program,
+                      verify_program)
 from repro.machine import MachineConfig, PAPER_MACHINE_512, Simulator
 from repro.opt import optimize_program
 from repro.regalloc import allocate_function, lower_calling_convention

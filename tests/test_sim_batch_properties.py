@@ -32,8 +32,8 @@ from repro.ir import parse_program
 from repro.ir.printer import format_program
 from repro.machine import (BatchMember, BatchSimulation, BatchSplit,
                            BatchedCaches, CacheConfig, DataCache,
-                           MachineConfig, SimulationError, Simulator,
-                           batch_key, group_batches, program_fingerprint,
+                           SimulationError, Simulator, batch_key,
+                           group_batches, program_fingerprint,
                            program_uses_ccm)
 
 CACHE_GEOMETRIES = (
