@@ -35,12 +35,31 @@ __all__ = ["DenseIndex", "BitLiveness", "iter_bits", "mask_to_ids",
            "compute_liveness_masks"]
 
 
+#: the set bit positions of each byte value, ascending
+_BYTE_BITS = tuple(tuple(bit for bit in range(8) if value >> bit & 1)
+                   for value in range(256))
+
+
 def iter_bits(mask: int) -> Iterator[int]:
-    """Yield the set bit positions of ``mask`` in ascending order."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+    """Yield the set bit positions of ``mask`` in ascending order.
+
+    Popping the lowest bit costs a pass over the whole integer, so only
+    a sparse mask (fewer set bits than one per 32 positions) is walked
+    that way.  Any other mask is read once, a byte at a time, through
+    the bit positions of each byte value."""
+    width = mask.bit_length()
+    if mask.bit_count() << 5 < width:
+        while mask:
+            low = mask & -mask
+            yield low.bit_length() - 1
+            mask ^= low
+        return
+    base = 0
+    for byte in mask.to_bytes((width + 7) >> 3, "little"):
+        if byte:
+            for bit in _BYTE_BITS[byte]:
+                yield base + bit
+        base += 8
 
 
 def mask_to_ids(mask: int) -> List[int]:

@@ -21,7 +21,7 @@ from .integrated import (CcmGraphHook, CcmLocation, CcmPlacementProvider,
                          SpillSlotHook, allocate_function_integrated)
 from .mem_liveness import WebInterference, analyze_webs
 from .postpass import (FunctionPromotion, PromotionReport, analyze_spill_webs,
-                       decide_postpass, promote_function,
+                       count_promotions, decide_postpass, promote_function,
                        promote_spills_postpass, rewrite_postpass,
                        stacked_analyses)
 from .slots import SpillWeb, find_spill_webs
@@ -33,7 +33,7 @@ __all__ = [
     "SpillPlacement", "SpillSlotHook",
     "allocate_function_integrated", "WebInterference", "analyze_webs",
     "FunctionPromotion", "PromotionReport", "analyze_spill_webs",
-    "decide_postpass", "promote_function",
+    "count_promotions", "decide_postpass", "promote_function",
     "promote_spills_postpass", "rewrite_postpass", "stacked_analyses",
     "SpillWeb", "find_spill_webs",
 ]

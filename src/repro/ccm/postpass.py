@@ -139,11 +139,11 @@ def promote_function(fn: Function, ccm_bytes: int,
         result = decide_function(fn.name, analyze_spill_webs(fn),
                                  ccm_bytes, callee_high_water)
         _rewrite_promoted(fn, result)
-    _count_promotions([result])
+    count_promotions([result])
     return result
 
 
-def _count_promotions(promotions: Iterable[FunctionPromotion]) -> None:
+def count_promotions(promotions: Iterable[FunctionPromotion]) -> None:
     """The ``ccm.*`` trace counters of rewritten promotions."""
     for promotion in promotions:
         trace_counter("ccm.webs", promotion.n_webs)
@@ -301,5 +301,5 @@ def promote_spills_postpass(program: Program, machine: MachineConfig,
         report = decide_postpass(program, analyses, machine.ccm_bytes,
                                  interprocedural)
         rewrite_postpass(program, report)
-    _count_promotions(report.functions.values())
+    count_promotions(report.functions.values())
     return report

@@ -30,20 +30,14 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..ccm import (CcmPlacementProvider, PromotionReport, SpillPlacement,
-                   WebInterference, allocate_function_integrated,
-                   analyze_spill_webs, compact_spill_memory, decide_postpass,
-                   rewrite_postpass, stacked_analyses)
 from ..exec import ArtifactCache, StageClock, SweepStats, run_jobs
 from ..exec.compare import values_match as _values_match
+from ..exec.plan import CompilePlan, PlanKey
 from ..frontend import compile_source
 from ..ir import Program, verify_program
 from ..machine import (BatchMember, BatchSimulation, BatchSplit,
                        MachineConfig, RunStats, SimulationError, Simulator,
                        arch_signature, group_batches, program_fingerprint)
-from ..opt import optimize_program
-from ..regalloc import (allocate_function, lower_calling_convention,
-                        regalloc_engine)
 from ..trace import TraceRecorder, recording, trace_counter, trace_span
 from .gen import generate_source
 
@@ -102,6 +96,12 @@ class DiffConfig:
                 f"{'+opt' if self.optimize else ''}"
                 f"{'+compact' if self.compaction else ''}"
                 f"/ccm{self.ccm_bytes}{suffix}")
+
+    @property
+    def plan_key(self) -> PlanKey:
+        """This config as a key of the compile plan."""
+        return PlanKey(self.variant, _machine_for(self), self.optimize,
+                       self.compaction, self.allocator, self.rematerialize)
 
 
 def _split_allocator(token: Optional[str]) -> Tuple[Optional[str], bool]:
@@ -210,223 +210,31 @@ class FuzzReport:
 # -- compilation under a config ------------------------------------------------
 
 
-class _StageCache:
-    """Shares compilation work across lattice points.
-
-    The pipeline up to register allocation is identical for every config
-    with the same (optimize, geometry) pair, and one baseline allocation
-    per (optimize, geometry, allocator, remat) *setting* serves every
-    variant: the post-pass only retargets spill instructions after
-    allocation, and under Chaitin-Briggs the integrated scheme makes the
-    baseline's register decisions at every CCM size, so each integrated
-    config is that allocation placed for its size
-    (:class:`~repro.ccm.CcmPlacementProvider`).  Each allocation's spill
-    webs are analyzed once, for every post-pass decision and every
-    compaction of it.  The SSA backends' register decisions react to
-    placement, so they still allocate once per integrated CCM size.
-
-    A config's CCM work is a *decision* computed from those shared
-    analyses without touching the IR — which webs or values go to which
-    CCM offset (:func:`~repro.ccm.decide_postpass`,
-    :meth:`~repro.ccm.SpillPlacement.decision`).  :meth:`decision_key`
-    names everything the config's rewrite writes, so configs with equal
-    keys compile to identical programs, and :meth:`materialize` clones,
-    rewrites and compacts once per key.  On the default lattice the 52
-    configs of a seed share about a dozen keys: every ``ccm0`` config
-    and every size that moves nothing collapses onto the baseline's.
-    """
-
-    def __init__(self, program: Program, configs: Sequence[DiffConfig]):
-        self.program = program
-        #: the CCM sizes every Chaitin-Briggs allocation is placed for
-        self.ccm_sizes = tuple(sorted({c.ccm_bytes for c in configs
-                                       if c.variant == "integrated"}))
-        self._lowered: Dict[tuple, Program] = {}
-        self._allocated: Dict[tuple, Program] = {}
-        #: per allocated snapshot: function name -> its CCM placement
-        self._placements: Dict[tuple, Dict[str, SpillPlacement]] = {}
-        #: per allocated snapshot: function name -> its spill-web analysis
-        self._web_analyses: Dict[tuple, Dict[str, WebInterference]] = {}
-        #: per (setting, interprocedural, CCM size): post-pass decision
-        self._promotions: Dict[tuple, PromotionReport] = {}
-        self._ssa_integrated: Dict[tuple, Program] = {}
-
-    def lowered(self, optimize: bool, geometry: str) -> Program:
-        key = (optimize, geometry)
-        if key not in self._lowered:
-            prog = self.program.clone()
-            if optimize:
-                optimize_program(prog)
-            machine = MachineConfig(**GEOMETRIES[geometry])
-            for fn in prog.functions.values():
-                lower_calling_convention(fn, machine)
-            self._lowered[key] = prog
-        return self._lowered[key]
-
-    def allocated(self, optimize: bool, geometry: str,
-                  allocator: Optional[str] = None,
-                  rematerialize: bool = True) -> Program:
-        """Baseline (stack-spilling) allocation of the lowered program."""
-        key = (optimize, geometry, allocator, rematerialize)
-        if key not in self._allocated:
-            prog = self.lowered(optimize, geometry).clone()
-            machine = MachineConfig(**GEOMETRIES[geometry])
-            placements: Dict[str, SpillPlacement] = {}
-            places = self.ccm_sizes and _chaitin(allocator)
-            for fn in prog.functions.values():
-                if places:
-                    provider = CcmPlacementProvider(fn, self.ccm_sizes)
-                    allocate_function(fn, machine, slot_provider=provider,
-                                      graph_hook=provider.graph_hook,
-                                      rematerialize=rematerialize,
-                                      engine=allocator)
-                    placements[fn.name] = provider.placement
-                else:
-                    allocate_function(fn, machine,
-                                      rematerialize=rematerialize,
-                                      engine=allocator)
-            self._allocated[key] = prog
-            self._placements[key] = placements
-        return self._allocated[key]
-
-    def web_analyses(self, optimize: bool, geometry: str,
-                     allocator: Optional[str] = None,
-                     rematerialize: bool = True
-                     ) -> Dict[str, WebInterference]:
-        """Each function's spill-web analysis of the baseline
-        allocation, shared by every post-pass decision and compaction
-        placed from it."""
-        key = (optimize, geometry, allocator, rematerialize)
-        if key not in self._web_analyses:
-            prog = self.allocated(*key)
-            self._web_analyses[key] = {
-                name: analyze_spill_webs(fn)
-                for name, fn in prog.functions.items()}
-        return self._web_analyses[key]
-
-    def _promotion(self, setting: tuple, interprocedural: bool,
-                   ccm_bytes: int) -> PromotionReport:
-        key = (setting, interprocedural, ccm_bytes)
-        if key not in self._promotions:
-            self._promotions[key] = decide_postpass(
-                self.allocated(*setting), self.web_analyses(*setting),
-                ccm_bytes, interprocedural)
-        return self._promotions[key]
-
-    def decision_key(self, config: DiffConfig) -> tuple:
-        """(snapshot, family, decision, compaction): equal keys give
-        identical compiled programs.
-
-        The family is the rewrite that applies the decision —
-        ``postpass`` (either variant: promoted web -> CCM offset, and
-        each function's ``ccm_high_water``), ``integrated`` (the
-        allocation's stack offset -> location, and frame size),
-        ``baseline``, which every decision that moves nothing joins, or
-        ``ssa-integrated``, an SSA backend's own allocation at the
-        config's CCM size (the decision is that size)."""
-        setting = _setting(config)
-        if config.variant == "integrated" and not _chaitin(config.allocator):
-            return (setting, "ssa-integrated", config.ccm_bytes,
-                    config.compaction)
-        snapshot = self.allocated(*setting)
-        if config.variant == "integrated":
-            placements = self._placements[setting]
-            decision = tuple(placements[name].decision(config.ccm_bytes)
-                             for name in snapshot.functions)
-            moves = any(decision)
-        elif config.variant in ("postpass", "postpass_cg"):
-            report = self._promotion(setting,
-                                     config.variant == "postpass_cg",
-                                     config.ccm_bytes)
-            decision = tuple(
-                (tuple(sorted(report.functions[name].offsets.items())),
-                 report.functions[name].reported_high_water)
-                for name in snapshot.functions)
-            moves = any(offsets or high_water != fn.ccm_high_water
-                        for (offsets, high_water), fn
-                        in zip(decision, snapshot.functions.values()))
-        else:
-            moves = False
-        if not moves:
-            return (setting, "baseline", (), config.compaction)
-        family = "integrated" if config.variant == "integrated" \
-            else "postpass"
-        return (setting, family, decision, config.compaction)
-
-    def materialize(self, config: DiffConfig, key: tuple) -> Program:
-        """A fresh program compiled under ``config``, whose
-        :meth:`decision_key` is ``key`` (not yet verified): the
-        snapshot cloned, the decision rewritten in, compacted if the
-        config compacts."""
-        setting, family, _, compaction = key
-        if family == "ssa-integrated":
-            program = self._ssa_allocated(config).clone()
-        else:
-            program = self.allocated(*setting).clone()
-        #: per function: the snapshot's web analysis, narrowed to the
-        #: webs compaction re-colors
-        stacked: Dict[str, WebInterference] = {}
-        if family == "integrated":
-            # re-packs the stack: compaction analyzes the result afresh
-            placements = self._placements[setting]
-            for fn in program.functions.values():
-                placements[fn.name].materialize(fn, config.ccm_bytes)
-        elif family in ("postpass", "baseline"):
-            report = None
-            if family == "postpass":
-                report = self._promotion(setting,
-                                         config.variant == "postpass_cg",
-                                         config.ccm_bytes)
-                rewrite_postpass(program, report)
-            if compaction:
-                stacked = stacked_analyses(self.web_analyses(*setting),
-                                           report)
-        if compaction:
-            for fn in program.functions.values():
-                compact_spill_memory(fn, analysis=stacked.get(fn.name))
-        return program
-
-    def _ssa_allocated(self, config: DiffConfig) -> Program:
-        """An SSA backend's integrated allocation at the config's CCM
-        size: its register decisions react to placement, so it is not
-        placed from the baseline's."""
-        key = (_setting(config), config.ccm_bytes)
-        if key not in self._ssa_integrated:
-            prog = self.lowered(config.optimize, config.geometry).clone()
-            machine = _machine_for(config)
-            for fn in prog.functions.values():
-                allocate_function_integrated(
-                    fn, machine, engine=config.allocator,
-                    rematerialize=config.rematerialize)
-            self._ssa_integrated[key] = prog
-        return self._ssa_integrated[key]
+def plan_for(program: Program,
+             configs: Sequence[DiffConfig]) -> CompilePlan:
+    """The compile plan a lattice shares (:mod:`repro.exec.plan`): one
+    allocation per (optimize, geometry, allocator, remat) setting,
+    placed for every integrated CCM size of ``configs``, and one
+    decision per config.  On the default lattice the 52 configs of a
+    seed share about a dozen decision keys: every ``ccm0`` config and
+    every size that moves nothing collapses onto the baseline's."""
+    return CompilePlan(program, (c.ccm_bytes for c in configs
+                                 if c.variant == "integrated"))
 
 
-def _setting(config: DiffConfig) -> tuple:
-    """The allocated snapshot a config compiles from."""
-    return (config.optimize, config.geometry, config.allocator,
-            config.rematerialize)
-
-
-def _chaitin(allocator: Optional[str]) -> bool:
-    return (allocator or regalloc_engine()) == "chaitin"
-
-
-def finalize_config(stages: _StageCache,
+def finalize_config(plan: CompilePlan,
                     config: DiffConfig) -> Tuple[Program, MachineConfig]:
     """The fully compiled program for one lattice point, not yet
     verified: callers run :func:`verify_program` (the lattice runner
     once per distinct program)."""
-    return (stages.materialize(config, stages.decision_key(config)),
-            _machine_for(config))
+    return plan.compile(config.plan_key), _machine_for(config)
 
 
 def compile_config(program: Program, config: DiffConfig
                    ) -> Tuple[Program, MachineConfig]:
     """Compile and verify ``program`` under one config (standalone entry
-    point; ``check_source`` goes through a shared :class:`_StageCache`)."""
-    program, machine = finalize_config(_StageCache(program, [config]),
-                                       config)
+    point; ``check_source`` goes through a shared :func:`plan_for`)."""
+    program, machine = finalize_config(plan_for(program, [config]), config)
     verify_program(program)
     return program, machine
 
@@ -554,7 +362,7 @@ def check_source(source: str, configs: Optional[Sequence[DiffConfig]] = None,
         result.skipped = f"reference machine error: {exc}"
         return _record(artifacts, key, result)
 
-    divergences = _check_all_batched(_StageCache(base, configs), configs,
+    divergences = _check_all_batched(plan_for(base, configs), configs,
                                      reference, fault, clock)
     for divergence in divergences:
         divergence.seed = seed
@@ -654,19 +462,18 @@ def _verify(program: Program) -> Optional[str]:
     return None
 
 
-def _materialize(stages: _StageCache, config: DiffConfig, key: tuple,
-                 machine: MachineConfig, fault: FaultFn,
-                 verified: Dict[str, Optional[str]],
+def _materialize(plan: CompilePlan, key: PlanKey, decision: tuple,
+                 fault: FaultFn, verified: Dict[str, Optional[str]],
                  representatives: Dict[tuple, Program],
                  clock: Optional[StageClock]
                  ) -> Tuple[Optional[str], Optional[str]]:
-    """Compile the representative of ``key``, ``config``'s decision
+    """Compile the representative of ``decision``, ``key``'s decision
     key: (fingerprint, None), or (None, the ``compile_error`` detail).
     Verifies each new fingerprint into ``verified``; keeps the program
     in ``representatives`` when it opens a batch group."""
     try:
         with _timed(clock, "compile"):
-            program = stages.materialize(config, key)
+            program = plan.materialize(key, decision)
     except Exception as exc:
         return None, _error_detail(exc)
     with _timed(clock, "group"), trace_span("difftest.batch_key"):
@@ -680,22 +487,23 @@ def _materialize(stages: _StageCache, config: DiffConfig, key: tuple,
         fault(program)
         with _timed(clock, "group"), trace_span("difftest.batch_key"):
             fingerprint = program_fingerprint(program)
-    representatives.setdefault((fingerprint, arch_signature(machine)),
+    representatives.setdefault((fingerprint, arch_signature(key.machine)),
                                program)
     return fingerprint, None
 
 
-def _check_all_batched(stages: _StageCache, configs: Sequence[DiffConfig],
+def _check_all_batched(plan: CompilePlan, configs: Sequence[DiffConfig],
                        reference: Outcome, fault: FaultFn = None,
                        clock: Optional[StageClock] = None
                        ) -> List[Divergence]:
     """Compile, simulate, and judge the whole lattice.
 
-    Decides each config (:meth:`_StageCache.decision_key`) before
+    Decides each config (:meth:`CompilePlan.decision_key`) before
     compiling anything for it, and materializes, fingerprints and
     verifies one *representative* program per decision key; the
     configs sharing a key share its outcome — the fingerprint, or the
-    ``compile_error`` each reports under its own name.  Configs are then grouped by batch key (as
+    ``compile_error`` each reports under its own name.  Configs are
+    then grouped by batch key (as
     :func:`repro.machine.batch_key`: identical code under an
     architecturally-identical machine, so two decisions that reach the
     same program still share a batch), one :class:`BatchSimulation`
@@ -734,17 +542,18 @@ def _check_all_batched(stages: _StageCache, configs: Sequence[DiffConfig],
     for index, config in enumerate(configs):
         try:
             with _timed(clock, "compile"):
-                decision = stages.decision_key(config)
+                key = config.plan_key
+                decision = plan.decision_key(key)
         except Exception as exc:
             compile_errors[index] = Divergence(
                 None, config.name, "compile_error", _error_detail(exc))
             keys.append(None)
             continue
-        machine = _machine_for(config)
+        machine = key.machine
         if decision not in decided:
-            decided[decision] = _materialize(stages, config, decision,
-                                             machine, fault, verified,
-                                             representatives, clock)
+            decided[decision] = _materialize(plan, key, decision, fault,
+                                             verified, representatives,
+                                             clock)
         fingerprint, error = decided[decision]
         if error is not None:
             compile_errors[index] = Divergence(

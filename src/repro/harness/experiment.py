@@ -19,6 +19,12 @@ CLI invocations, keyed by the workload's printed IR + the pipeline
 configuration + the package code version.  Both layers are exact: a
 parallel or cache-served sweep reports bit-identical rows to a cold
 serial one.
+
+Every variant is a key of one :class:`~repro.exec.plan.CompilePlan`
+per workload: a serial runner builds, optimizes and allocates each
+workload once, placed for both of its CCM sizes, and each job
+materializes only its own CCM decision.  A pool job compiles from a
+plan of its own.
 """
 
 from __future__ import annotations
@@ -27,16 +33,14 @@ import functools
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
-from .. import VARIANTS
-from ..ccm import (allocate_function_integrated, compact_spill_memory,
-                   promote_spills_postpass)
+from .. import VARIANTS  # re-exported: the harness's variant list
+from ..ccm import compact_spill_memory
 from ..exec import ArtifactCache, StageClock, SweepStats, run_jobs
 from ..exec.compare import values_match
+from ..exec.plan import CompilePlan, PlanKey
 from ..ir import Program, format_program, verify_program
 from ..machine import (DataCache, MachineConfig, RunStats, Simulator,
                        PAPER_MACHINE_512, PAPER_MACHINE_1024)
-from ..opt import optimize_program
-from ..regalloc import allocate_function, lower_calling_convention
 from ..trace import TraceRecorder, recording
 from ..workloads.suite import build_routine, suite_names
 
@@ -81,21 +85,28 @@ class VariantResult:
 def compile_program(prog: Program, machine: MachineConfig,
                     variant: str) -> None:
     """Optimize, lower, and allocate every function of ``prog`` in place
-    under the given variant."""
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}; pick from {VARIANTS}")
-    optimize_program(prog)
-    for fn in prog.functions.values():
-        lower_calling_convention(fn, machine)
-        if variant == "integrated":
-            allocate_function_integrated(fn, machine)
-        else:
-            allocate_function(fn, machine)
-    if variant == "postpass":
-        promote_spills_postpass(prog, machine, interprocedural=False)
-    elif variant == "postpass_cg":
-        promote_spills_postpass(prog, machine, interprocedural=True)
+    under the given variant: a one-key plan call whose compiled,
+    verified functions replace ``prog``'s."""
+    prog.functions = _compile_job(CompilePlan(prog), variant,
+                                  machine).functions
+
+
+def _compile_job(plan: CompilePlan, variant: str,
+                 machine: MachineConfig) -> Program:
+    """One job's verified program, compiled from ``plan``."""
+    prog = plan.compile(PlanKey(variant, machine))
     verify_program(prog)
+    return prog
+
+
+def _result(workload: str, variant: str, machine: MachineConfig,
+            prog: Program, run) -> "VariantResult":
+    return VariantResult(
+        workload, variant, machine.ccm_bytes, run.value, run.stats,
+        spill_bytes={name: fn.frame_size
+                     for name, fn in prog.functions.items()},
+        ccm_high_water={name: fn.ccm_high_water
+                        for name, fn in prog.functions.items()})
 
 
 def _reference_run(prog: Program):
@@ -113,14 +124,21 @@ def _variant_job(workload: str, variant: str, machine: MachineConfig,
                  build: Callable[[str], Program], verify_values: bool,
                  cache_root: Optional[str], cache_version: Optional[str],
                  references: Optional[Dict[str, object]] = None,
-                 trace: bool = False
+                 trace: bool = False,
+                 plans: Optional[Dict[str, CompilePlan]] = None,
+                 ccm_sizes: Tuple[int, ...] = ()
                  ) -> Tuple["VariantResult", dict, object]:
-    """One pool job: build, compile, simulate, verify one configuration.
+    """One job: build, compile, simulate, verify one configuration.
 
     Module-level so it pickles across the process boundary.  Returns
     ``(result, timing payload, reference value)`` — the reference value
     comes back so the parent can memoize it for later variants of the
     same workload.
+
+    ``plans`` (serial runs only) maps workloads to their compile plans:
+    the job reuses the workload's plan, or on its first artifact-cache
+    miss creates one placed for ``ccm_sizes`` and stores it there.
+    Without ``plans`` the job compiles from a plan of its own.
 
     ``trace`` installs a per-job :class:`TraceRecorder` around the
     compile+simulate work and ships its payload back inside the timing
@@ -129,28 +147,29 @@ def _variant_job(workload: str, variant: str, machine: MachineConfig,
     produce bit-identical results.  Cache-served jobs skip compilation
     and therefore carry no trace payload.
     """
+    args = (workload, variant, machine, build, verify_values, cache_root,
+            cache_version, references, plans, ccm_sizes)
     if not trace:
-        return _variant_job_inner(workload, variant, machine, build,
-                                  verify_values, cache_root, cache_version,
-                                  references)
+        return _variant_job_inner(*args)
     recorder = TraceRecorder()
     with recording(recorder):
-        result = _variant_job_inner(workload, variant, machine, build,
-                                    verify_values, cache_root,
-                                    cache_version, references)
+        result = _variant_job_inner(*args)
     if recorder.events:
         result[1]["trace"] = recorder.to_payload()
     return result
 
 
 def _variant_job_inner(workload, variant, machine, build, verify_values,
-                       cache_root, cache_version, references):
+                       cache_root, cache_version, references, plans,
+                       ccm_sizes):
     clock = StageClock()
     artifacts = (ArtifactCache(cache_root, version=cache_version)
                  if cache_root is not None else None)
+    plan = plans.get(workload) if plans is not None else None
 
     with clock.stage("build"):
-        prog = build(workload)
+        # a plan never modifies its source program
+        prog = plan.program if plan is not None else build(workload)
 
     key = ref_key = None
     reference = (references or {}).get(workload)
@@ -178,19 +197,18 @@ def _variant_job_inner(workload, variant, machine, build, verify_values,
             artifacts.put(ref_key, reference)
 
     with clock.stage("compile"):
-        compile_program(prog, machine, variant)
+        if plan is None:
+            plan = CompilePlan(prog, ccm_sizes)
+            if plans is not None:
+                plans[workload] = plan
+        prog = _compile_job(plan, variant, machine)
     with clock.stage("simulate"):
         run = Simulator(prog, machine, poison_caller_saved=True).run()
     if verify_values and not values_match(run.value, reference):
         raise AssertionError(
             f"{workload}/{variant}: value {run.value!r} diverged "
             f"from reference {reference!r}")
-    result = VariantResult(
-        workload, variant, machine.ccm_bytes, run.value, run.stats,
-        spill_bytes={name: fn.frame_size
-                     for name, fn in prog.functions.items()},
-        ccm_high_water={name: fn.ccm_high_water
-                        for name, fn in prog.functions.items()})
+    result = _result(workload, variant, machine, prog, run)
     if artifacts is not None:
         artifacts.put(key, result)
     payload = clock.to_payload(cache_hit=False)
@@ -208,6 +226,10 @@ class ExperimentRunner:
     in-process).  ``artifacts`` plugs in the persistent on-disk cache;
     ``stats`` accumulates per-stage timing and cache hit rates across
     everything this runner executes.
+
+    In-process jobs share one :class:`~repro.exec.plan.CompilePlan` per
+    workload, created on the workload's first artifact-cache miss and
+    placed for the CCM sizes of ``machine_512`` and ``machine_1024``.
     """
 
     machine_512: MachineConfig = PAPER_MACHINE_512
@@ -226,6 +248,8 @@ class ExperimentRunner:
             self.build = build_routine
         self._cache: Dict[Tuple[str, str, int], VariantResult] = {}
         self._reference: Dict[str, object] = {}
+        #: workload -> its compile plan, for in-process jobs
+        self._plans: Dict[str, CompilePlan] = {}
         self.stats = SweepStats(jobs=max(self.jobs, 1))
 
     def machine(self, ccm_bytes: int) -> MachineConfig:
@@ -241,7 +265,13 @@ class ExperimentRunner:
             self._reference[workload] = _reference_run(self.build(workload))
         return self._reference[workload]
 
-    def _job(self, variant: str, ccm_bytes: int) -> Callable:
+    def _job(self, variant: str, ccm_bytes: int,
+             serial: bool = False) -> Callable:
+        """A job of ``variant`` at ``ccm_bytes``; a ``serial`` one runs
+        in-process and shares the runner's plans."""
+        extra = {}
+        if serial:
+            extra = dict(plans=self._plans, ccm_sizes=self._ccm_sizes)
         return functools.partial(
             _variant_job, variant=variant, machine=self.machine(ccm_bytes),
             build=self.build, verify_values=self.verify_values,
@@ -249,7 +279,18 @@ class ExperimentRunner:
                         if self.artifacts is not None else None),
             cache_version=(self.artifacts.version
                            if self.artifacts is not None else None),
-            references=dict(self._reference), trace=self.trace)
+            references=dict(self._reference), trace=self.trace, **extra)
+
+    @property
+    def _ccm_sizes(self) -> Tuple[int, int]:
+        """The CCM sizes every plan of this runner is placed for."""
+        return self.machine_512.ccm_bytes, self.machine_1024.ccm_bytes
+
+    def _plan(self, workload: str) -> CompilePlan:
+        if workload not in self._plans:
+            self._plans[workload] = CompilePlan(self.build(workload),
+                                                self._ccm_sizes)
+        return self._plans[workload]
 
     def _absorb(self, key: Tuple[str, str, int], result: VariantResult,
                 payload: dict, reference: object) -> None:
@@ -274,8 +315,8 @@ class ExperimentRunner:
                                              cache)
         key = (workload, variant, ccm_bytes)
         if key not in self._cache:
-            result, payload, reference = self._job(variant, ccm_bytes)(
-                workload)
+            result, payload, reference = self._job(
+                variant, ccm_bytes, serial=True)(workload)
             self._absorb(key, result, payload, reference)
         return self._cache[key]
 
@@ -283,8 +324,7 @@ class ExperimentRunner:
                              ccm_bytes: int,
                              cache: DataCache) -> VariantResult:
         machine = self.machine(ccm_bytes)
-        prog = self.build(workload)
-        compile_program(prog, machine, variant)
+        prog = _compile_job(self._plan(workload), variant, machine)
         sim = Simulator(prog, machine, cache=cache, poison_caller_saved=True)
         run = sim.run()
         if self.verify_values:
@@ -293,12 +333,7 @@ class ExperimentRunner:
                 raise AssertionError(
                     f"{workload}/{variant}: value {run.value!r} diverged "
                     f"from reference {ref!r}")
-        return VariantResult(
-            workload, variant, ccm_bytes, run.value, run.stats,
-            spill_bytes={name: fn.frame_size
-                         for name, fn in prog.functions.items()},
-            ccm_high_water={name: fn.ccm_high_water
-                            for name, fn in prog.functions.items()})
+        return _result(workload, variant, machine, prog, run)
 
     def run_all(self, variant: str, ccm_bytes: int = 512,
                 workloads: Optional[List[str]] = None,
@@ -337,6 +372,6 @@ def compaction_measurements(workloads: Optional[List[str]] = None,
 
 
 def _compaction_job(name: str, machine: MachineConfig):
-    prog = build_routine(name)
-    compile_program(prog, machine, "baseline")
+    prog = _compile_job(CompilePlan(build_routine(name)), "baseline",
+                        machine)
     return compact_spill_memory(prog.functions[name])

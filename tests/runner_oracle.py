@@ -15,15 +15,16 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence
 
 from ccm_oracle import promote_spills_walk
+from harness_oracle import compile_program_oracle
 
 from repro.ccm import allocate_function_integrated, compact_spill_memory
 from repro.difftest.runner import (DiffConfig, Divergence, SeedResult,
-                                   _chaitin, _execute, _judge,
+                                   _execute, _judge,
                                    _machine_error_divergence, _machine_for,
-                                   _setting, _StageCache, config_lattice)
+                                   config_lattice, plan_for)
+from repro.exec.plan import CompilePlan, _chaitin
 from repro.frontend import compile_source
 from repro.harness.ablation import CONFIGS, AblationCell
-from repro.harness.experiment import compile_program
 from repro.ir import verify_program
 from repro.machine import DataCache, MachineConfig, SimulationError, Simulator
 from repro.workloads.suite import build_routine
@@ -32,23 +33,23 @@ __all__ = ["compile_config_scalar", "check_source_scalar",
            "ablation_cells_scalar"]
 
 
-def compile_config_scalar(stages: _StageCache, config: DiffConfig):
-    """One config's program on its own clone of the stage cache's
+def compile_config_scalar(plan: CompilePlan, config: DiffConfig):
+    """One config's program on its own clone of the compile plan's
     snapshot: the per-function post-pass walk of ``ccm_oracle`` (its
     own web analyses and compaction), the placement materialized for
     the config's size, or the SSA backend's own allocation at that
     size.  Returns (program, machine), not yet verified."""
     machine = _machine_for(config)
-    setting = _setting(config)
+    setting = config.plan_key.setting
     if config.variant == "integrated":
         if _chaitin(config.allocator):
-            program = stages.allocated(*setting).clone()
-            placements = stages._placements[setting]
+            snapshot = plan.snapshot(setting, config.ccm_bytes)
+            program = plan.allocated(*snapshot).clone()
+            placements = plan.placements(snapshot)
             for fn in program.functions.values():
                 placements[fn.name].materialize(fn, config.ccm_bytes)
         else:
-            program = stages.lowered(config.optimize,
-                                     config.geometry).clone()
+            program = plan.lowered(machine, config.optimize)
             for fn in program.functions.values():
                 allocate_function_integrated(
                     fn, machine, engine=config.allocator,
@@ -57,7 +58,7 @@ def compile_config_scalar(stages: _StageCache, config: DiffConfig):
             for fn in program.functions.values():
                 compact_spill_memory(fn)
         return program, machine
-    program = stages.allocated(*setting).clone()
+    program = plan.allocated(setting).clone()
     if config.variant in ("postpass", "postpass_cg"):
         promote_spills_walk(program, machine,
                             interprocedural=config.variant == "postpass_cg")
@@ -86,11 +87,11 @@ def check_source_scalar(source: str,
     except SimulationError as exc:
         result.skipped = f"reference machine error: {exc}"
         return result
-    stages = _StageCache(base, configs)
+    plan = plan_for(base, configs)
     baseline_spill: Dict[tuple, int] = {}
     for config in configs:
         try:
-            program, machine = compile_config_scalar(stages, config)
+            program, machine = compile_config_scalar(plan, config)
             verify_program(program)
         except Exception as exc:
             divergence = Divergence(None, config.name, "compile_error",
@@ -123,7 +124,7 @@ def ablation_cells_scalar(routines: Sequence[str],
     for routine in routines:
         for name, (variant, cache_config) in CONFIGS.items():
             prog = build_routine(routine)
-            compile_program(prog, machine, variant)
+            compile_program_oracle(prog, machine, variant)
             cache = DataCache(cache_config)
             run = Simulator(prog, machine, cache=cache,
                             poison_caller_saved=True).run()

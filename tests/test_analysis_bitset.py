@@ -7,6 +7,9 @@ is built from and the manager's caching contract; the end-to-end
 bitset-vs-oracle equivalence lives in ``test_bitset_oracle_fuzz.py``.
 """
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from liveness_oracle import compute_liveness_sets
 
 from repro.analysis import (CFG, AnalysisManager, DenseIndex,
@@ -54,6 +57,43 @@ class TestIterBits:
         for b in bits:
             mask |= 1 << b
         assert set(iter_bits(mask)) == bits
+
+
+def _pop_lowest(mask):
+    """The lowest-bit-popping loop ``iter_bits`` walked every mask
+    with: the oracle."""
+    bits = []
+    while mask:
+        low = mask & -mask
+        bits.append(low.bit_length() - 1)
+        mask ^= low
+    return bits
+
+
+#: masks of every shape: empty, one bit anywhere in a 12k-bit range,
+#: sparse and dense masks up to 12k bits wide, and runs of ones
+_MASKS = st.one_of(
+    st.just(0),
+    st.integers(0, 12_000).map(lambda bit: 1 << bit),
+    st.sets(st.integers(0, 12_000), max_size=64).map(
+        lambda bits: sum(1 << bit for bit in bits)),
+    st.integers(min_value=0, max_value=(1 << 12_000) - 1),
+    st.tuples(st.integers(0, 11_000), st.integers(1, 1_000)).map(
+        lambda run: ((1 << run[1]) - 1) << run[0]),
+)
+
+
+class TestIterBitsOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(_MASKS)
+    def test_matches_the_popping_loop(self, mask):
+        assert list(iter_bits(mask)) == _pop_lowest(mask)
+
+    def test_edge_masks(self):
+        wide = 10_240
+        for mask in (0, 1, 1 << 7, 1 << 8, 1 << wide, (1 << wide) - 1,
+                     int("10" * (wide // 2), 2), 0xFF << (wide - 8)):
+            assert list(iter_bits(mask)) == _pop_lowest(mask), hex(mask)
 
 
 class TestDenseIndex:

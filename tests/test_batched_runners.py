@@ -23,6 +23,7 @@ from repro.ccm import compaction
 from repro.difftest import check_source, generate_source, iter_corpus, runner
 from repro.difftest.faults import FAULTS
 from repro.difftest.runner import config_lattice
+from repro.exec import plan as plan_module
 from repro.frontend import compile_source
 from repro.harness.ablation import run_ablation
 from repro.ir import CCM_OPS, SPILL_OPS
@@ -95,9 +96,9 @@ def _skew_past_frame(monkeypatch):
                     break
         return result
 
-    # the runner (which compacts each decision key's representative)
-    # and the oracle bind the name at import
-    monkeypatch.setattr(runner, "compact_spill_memory", skewed)
+    # the compile plan (which compacts each decision key's
+    # representative) and the oracle bind the name at import
+    monkeypatch.setattr(plan_module, "compact_spill_memory", skewed)
     monkeypatch.setattr(runner_oracle, "compact_spill_memory", skewed)
 
 
@@ -109,8 +110,8 @@ def test_verify_once_reports_every_failing_config(monkeypatch, seed):
     _skew_past_frame(monkeypatch)
     source = generate_source(seed)
     configs = config_lattice()
-    stages = runner._StageCache(compile_source(source), configs)
-    distinct = {program_fingerprint(runner.finalize_config(stages, c)[0])
+    plan = runner.plan_for(compile_source(source), configs)
+    distinct = {program_fingerprint(runner.finalize_config(plan, c)[0])
                 for c in configs}
 
     calls = []

@@ -7,8 +7,8 @@ and materializes each size from it.  These tests hold that path
 bit-identical to the per-size oracle kept in ``ccm_oracle.py``:
 ``format_program``, every ``frame_size`` and every
 :class:`AllocationResult` field, through the provider, the one-size
-entry point :func:`allocate_function_integrated` and the difftest
-stage cache — under both the shipped interference builder and the
+entry point :func:`allocate_function_integrated` and the compile
+plan — under both the shipped interference builder and the
 set-based oracle builder of ``liveness_oracle.py``.
 """
 
@@ -22,8 +22,8 @@ from liveness_oracle import use_set_builder
 from repro.ccm import (CcmPlacementProvider, allocate_function_integrated,
                        compact_spill_memory)
 from repro.difftest import generate_source
-from repro.difftest.runner import (DEFAULT_CCM_SIZES, GEOMETRIES, _StageCache,
-                                   config_lattice, finalize_config)
+from repro.difftest.runner import (DEFAULT_CCM_SIZES, GEOMETRIES,
+                                   config_lattice, finalize_config, plan_for)
 from repro.frontend import compile_source
 from repro.ir import SPILL_OPS, format_program
 from repro.machine import PAPER_MACHINE_512, MachineConfig
@@ -136,28 +136,27 @@ def _check_sizes(lowered, machine, sizes, rematerialize, context,
 
 def _check_seed(seed):
     """One fuzz seed over the 52-config lattice and its ``-noremat``
-    slice.  Integrated configs from the stage cache match the oracle
+    slice.  Integrated configs from the compile plan match the oracle
     (compaction runs after allocation, on identical input); the other
-    configs start from the shared allocation, which must match a stage
-    cache that places nothing."""
+    configs start from the shared allocation, which must match a plan
+    that places nothing."""
     base = compile_source(generate_source(seed))
     configs = config_lattice(allocators=(None, "chaitin-noremat"))
-    stages = _StageCache(base, configs)
-    plain = _StageCache(base, [])
-    assert stages.ccm_sizes == DEFAULT_CCM_SIZES and not plain.ccm_sizes
+    plan = plan_for(base, configs)
+    plain = plan_for(base, [])
+    assert plan.ccm_sizes == DEFAULT_CCM_SIZES and not plain.ccm_sizes
     oracles = {}
     for config in configs:
-        setting = (config.optimize, config.geometry, config.allocator,
-                   config.rematerialize)
+        setting = config.plan_key.setting
         if setting not in oracles:
-            _assert_same_program(plain.allocated(*setting),
-                                 stages.allocated(*setting), setting)
+            _assert_same_program(plain.allocated(setting),
+                                 plan.allocated(setting), setting)
             oracles[setting] = _check_sizes(
-                stages.lowered(config.optimize, config.geometry), SMALL,
+                plan.lowered(SMALL, config.optimize), SMALL,
                 DEFAULT_CCM_SIZES, config.rematerialize, (seed, *setting))
         if config.variant != "integrated":
             continue
-        program, _ = finalize_config(stages, config)
+        program, _ = finalize_config(plan, config)
         expected = oracles[setting][config.ccm_bytes].clone()
         if config.compaction:
             for fn in expected.functions.values():

@@ -2,8 +2,8 @@
 
 The post-pass allocator's spill webs, their liveness, interference,
 call crossings and costs (paper section 3.1) do not depend on the CCM
-size; only first-fit placement does.  The difftest stage cache
-therefore runs :func:`analyze_spill_webs` once per allocated snapshot,
+size; only first-fit placement does.  The compile plan therefore
+runs :func:`analyze_spill_webs` once per allocated snapshot,
 decides every post-pass config from it (:func:`decide_postpass`, no IR
 writes) and compacts with it too (:func:`stacked_analyses`).  These
 tests hold those paths, and the shipped ``promote_spills_postpass``,
@@ -11,7 +11,7 @@ equal to the per-function walk of ``ccm_oracle.py`` on a fresh clone,
 each function compacted afresh: listing, every ``frame_size`` and
 ``ccm_high_water``, and every :class:`PromotionReport` field, down to
 each :class:`FunctionPromotion` — through :func:`decide_postpass` +
-:func:`rewrite_postpass` + compaction, and through the stage cache
+:func:`rewrite_postpass` + compaction, and through the compile plan
 against the per-config oracle of ``runner_oracle.py``.
 """
 
@@ -27,8 +27,8 @@ from repro.ccm import (FunctionPromotion, PromotionReport,
                        decide_postpass, promote_spills_postpass,
                        rewrite_postpass, stacked_analyses)
 from repro.difftest import generate_source
-from repro.difftest.runner import (_machine_for, _StageCache,
-                                   config_lattice, finalize_config)
+from repro.difftest.runner import (_machine_for, config_lattice,
+                                   finalize_config, plan_for)
 from repro.frontend import compile_source
 from repro.ir import format_program
 from repro.machine import PAPER_MACHINE_512
@@ -95,24 +95,23 @@ def _check_placement(snapshot, analyses, machine, interprocedural,
 
 
 def _check_seed(seed):
-    """Every post-pass config of the lattice, through the stage cache's
+    """Every post-pass config of the lattice, through the compile plan's
     shared analyses, and ``finalize_config`` against the oracle."""
     base = compile_source(generate_source(seed))
     configs = [c for c in config_lattice()
                if c.variant in ("postpass", "postpass_cg")]
-    stages = _StageCache(base, config_lattice())
+    plan = plan_for(base, config_lattice())
     for config in configs:
-        setting = (config.optimize, config.geometry, config.allocator,
-                   config.rematerialize)
-        snapshot = stages.allocated(*setting)
+        shared = plan.snapshot(config.plan_key.setting)
+        snapshot = plan.allocated(*shared)
         listing = format_program(snapshot)
         context = (seed, config.name)
-        _check_placement(snapshot, stages.web_analyses(*setting),
+        _check_placement(snapshot, plan.web_analyses(shared),
                          _machine_for(config),
                          config.variant == "postpass_cg",
                          config.compaction, context)
-        program, _ = finalize_config(stages, config)
-        expected, _ = compile_config_scalar(stages, config)
+        program, _ = finalize_config(plan, config)
+        expected, _ = compile_config_scalar(plan, config)
         _assert_same_program(expected, program, context)
         # analysis and placement leave the shared snapshot pristine
         assert format_program(snapshot) == listing, context

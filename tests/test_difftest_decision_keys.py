@@ -1,19 +1,20 @@
 """Decide, then materialize once per decision key ≡ compile every config.
 
-The difftest runner decides each config's CCM placement from the stage
-cache's shared analyses, without touching the IR, and keys the config
-by everything its rewrite would write
-(:meth:`~repro.difftest.runner._StageCache.decision_key`).  It then
-clones, rewrites, compacts, fingerprints and verifies one program per
-key.  These tests pin both halves:
+The difftest runner decides each config's CCM placement from the compile
+plan's shared analyses, without touching the IR, and keys the config
+by everything its shared rewrite would write
+(:meth:`~repro.exec.plan.CompilePlan.decision_key`).  It then clones,
+rewrites, compacts, fingerprints and verifies one program per key.
+These tests pin both halves:
 
 * the work: per seed, ``Program.clone``, compaction (per function) and
   ``program_fingerprint`` each run at most once per decision key plus
-  once per compiled snapshot of the stage cache;
+  once per compiled snapshot of the plan, and the seed's decision-key
+  count is pinned;
 * the answer: every config's program equals its compile on its own
   clone (``runner_oracle.compile_config_scalar``) — listing, frame size
-  and ``ccm_high_water`` — and a 0-byte CCM collapses onto the
-  baseline's key.  ``test_batched_runners`` holds whole
+  and ``ccm_high_water`` — configs with equal keys share listing and
+  frame sizes, and a 0-byte CCM collapses onto the baseline's key.  ``test_batched_runners`` holds whole
   :class:`SeedResult`\\ s to the per-config oracle on both allocator
   lattices and under every fault; the ``fuzz`` sweep here also
   compares the default lattice's.
@@ -27,7 +28,9 @@ from runner_oracle import check_source_scalar, compile_config_scalar
 
 from repro.ccm import compaction
 from repro.difftest import check_source, generate_source, runner
-from repro.difftest.runner import config_lattice, finalize_config
+from repro.difftest.runner import config_lattice, finalize_config, plan_for
+from repro.exec import plan as plan_module
+from repro.exec.plan import _chaitin
 from repro.frontend import compile_source
 from repro.ir import Program, format_program
 from repro.trace import TraceRecorder, recording
@@ -35,6 +38,11 @@ from repro.trace import TraceRecorder, recording
 TIER1_SEEDS = range(4)
 SWEEP_SEEDS = range(4, 120)
 ALLOCATORS = ("chaitin", "ssa", "ssa-noremat")
+#: decision keys per seed on the default lattice.  Seeds 2, 4 and 6
+#: have a recursive function, which post-pass+CG reports as filling
+#: the CCM; keyed on that mark as well as the promoted offsets, they
+#: took 24, 20 and 16 keys
+PINNED_KEYS = {0: 12, 1: 12, 2: 12, 3: 12, 4: 8, 6: 12}
 
 
 def _count_work(monkeypatch, seed):
@@ -60,24 +68,24 @@ def _count_work(monkeypatch, seed):
         counts["fingerprint"] += 1
         return real_fingerprint(program)
 
-    class StageCache(runner._StageCache):
+    class CompilePlan(plan_module.CompilePlan):
         def __init__(self, *args):
             super().__init__(*args)
             caches.append(self)
 
     monkeypatch.setattr(Program, "clone", clone)
-    monkeypatch.setattr(runner, "compact_spill_memory", compact)
+    monkeypatch.setattr(plan_module, "compact_spill_memory", compact)
     monkeypatch.setattr(runner, "program_fingerprint", fingerprint)
-    monkeypatch.setattr(runner, "_StageCache", StageCache)
+    monkeypatch.setattr(runner, "CompilePlan", CompilePlan)
     recorder = TraceRecorder()
     with recording(recorder):
         result = check_source(generate_source(seed), seed=seed)
     assert result.ok, result.divergences
-    (stages,) = caches
+    (plan,) = caches
     counts["compaction"] = max(compacted.values(), default=0)
     # the compiled snapshots each key is cloned from
-    snapshots = (len(stages._lowered) + len(stages._allocated)
-                 + len(stages._ssa_integrated))
+    snapshots = (len(plan._lowered) + len(plan._allocated)
+                 + len(plan._ssa_integrated))
     return counts, recorder.counters["difftest.decision_keys"], snapshots
 
 
@@ -88,6 +96,7 @@ def _check_work(monkeypatch, seed):
     # 26 configs per (optimize, allocator) setting can have keys of
     # their own
     assert keys <= n_configs // 2, (seed, keys)
+    assert keys == PINNED_KEYS.get(seed, keys), (seed, keys)
     for name in ("clone", "compaction", "fingerprint"):
         assert counts[name] <= keys + snapshots, (seed, name, counts, keys,
                                                   snapshots)
@@ -102,13 +111,13 @@ def _check_programs(seed, configs):
     """Each config's program from the stage cache equals its oracle
     compile; configs with equal keys get equal programs."""
     base = compile_source(generate_source(seed))
-    stages = runner._StageCache(base, configs)
-    oracle_stages = runner._StageCache(base, configs)
+    plan = plan_for(base, configs)
+    oracle_plan = plan_for(base, configs)
     by_key = {}
     for config in configs:
         context = (seed, config.name)
-        program, _ = finalize_config(stages, config)
-        expected, _ = compile_config_scalar(oracle_stages, config)
+        program, _ = finalize_config(plan, config)
+        expected, _ = compile_config_scalar(oracle_plan, config)
         listing = format_program(program)
         assert listing == format_program(expected), context
         frames = {name: (fn.frame_size, fn.ccm_high_water)
@@ -116,9 +125,12 @@ def _check_programs(seed, configs):
         assert frames == {name: (fn.frame_size, fn.ccm_high_water)
                           for name, fn in expected.functions.items()}, \
             context
-        key = stages.decision_key(config)
-        assert by_key.setdefault(key, (listing, frames)) == \
-            (listing, frames), context
+        # the key fixes the shared rewrite; each config's own decision
+        # sets ccm_high_water after it
+        shared = (listing, {name: fn.frame_size
+                            for name, fn in program.functions.items()})
+        key = plan.decision_key(config.plan_key)
+        assert by_key.setdefault(key, shared) == shared, context
 
 
 def _check_collapse(seed, configs):
@@ -126,19 +138,20 @@ def _check_collapse(seed, configs):
     the baseline with the same (optimize, compaction, allocator) —
     except the SSA backends' integrated configs, which allocate per
     size."""
-    stages = runner._StageCache(compile_source(generate_source(seed)),
-                                configs)
+    plan = plan_for(compile_source(generate_source(seed)), configs)
     baseline = {}
     for config in configs:
+        key = config.plan_key
         if config.variant == "baseline":
-            baseline[runner._setting(config), config.compaction] = \
-                stages.decision_key(config)
+            baseline[key.setting, config.compaction] = \
+                plan.decision_key(key)
     for config in configs:
+        key = config.plan_key
         per_size = (config.variant == "integrated"
-                    and not runner._chaitin(config.allocator))
+                    and not _chaitin(config.allocator))
         if config.ccm_bytes == 0 and not per_size:
-            assert stages.decision_key(config) == \
-                baseline[runner._setting(config), config.compaction], \
+            assert plan.decision_key(key) == \
+                baseline[key.setting, config.compaction], \
                 (seed, config.name)
 
 

@@ -10,7 +10,8 @@ import pytest
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
     __file__))), "src")
 
-HEAVY = ("repro.harness", "repro.exec.wholeprog", "repro.regalloc.ssa")
+HEAVY = ("repro.harness", "repro.exec.plan", "repro.exec.wholeprog",
+         "repro.regalloc.ssa")
 
 #: runs one entry point in-process, then prints the repro modules loaded
 PROBE = """
