@@ -106,14 +106,16 @@ def test_sim_batch_beats_scalar_loop(compiled, routine):
     """Ratio gate: one batched pass over N members must clearly beat N
     scalar runs of the same members.
 
-    The sweep-level target is ≥3× on a cold sweep's execute stage; this
-    in-process gate asserts only ≥1.5× at width 8 so shared-runner
-    noise cannot flake it, while still catching any change that
-    degrades the batched pass to per-member cost.
+    Both sides include their decode: N scalar runs decode N times, the
+    batched pass once.  The sweep-level target is ≥3× on a cold sweep's
+    execute stage; this in-process gate asserts only ≥1.5× at width 8
+    so shared-runner noise cannot flake it, while still catching any
+    change that degrades the batched pass to per-member cost.
     """
     prog = compiled[routine]
     members = _batch_members()
-    # warm the decode cache so both sides measure steady-state execution
+    # one untimed pass first; no decode outlives a run, so each timed
+    # scalar run decodes on its own and each batched pass decodes once
     BatchSimulation(prog, members).run()
 
     def best_of(fn, rounds=3):

@@ -63,7 +63,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         from .trace.cli import main as trace_main
         return trace_main(argv[1:])
     if argv and argv[0] == "cache":
-        # artifact-store maintenance (stats / evict / clear)
+        # artifact-store maintenance (stats / clear)
         from .exec.cache_cli import main as cache_main
         return cache_main(argv[1:])
 
@@ -91,7 +91,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                    help="capture/compare compile-quality metric baselines "
                         "(python -m repro trace --help)")
     sub.add_parser("cache",
-                   help="artifact-store stats/evict/clear "
+                   help="artifact-store stats/clear "
                         "(python -m repro cache --help)")
 
     emit_cmd = sub.add_parser("emit", help="print the ILOC listing")

@@ -154,7 +154,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     configs = config_lattice(tuple(args.ccm), geometry=args.machine,
                              allocators=tuple(args.allocators))
 
-    artifacts = cache_from_args(parser, args)
+    artifacts = cache_from_args(args)
 
     if args.seed is not None:
         source = generate_source(args.seed)

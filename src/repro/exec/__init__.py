@@ -31,15 +31,13 @@ two copies with different float tolerances — a program could pass one
 and fail the other).
 """
 
-from .artifacts import (ArtifactCache, code_version, default_cache_budget,
-                        default_cache_dir, parse_bytes)
+from .artifacts import ArtifactCache, code_version, default_cache_dir
 from .compare import FLOAT_RTOL, values_match
 from .pool import JobPool, default_jobs, run_jobs
 from .stats import StageClock, SweepStats
 
 __all__ = [
-    "ArtifactCache", "code_version", "default_cache_budget",
-    "default_cache_dir", "parse_bytes",
+    "ArtifactCache", "code_version", "default_cache_dir",
     "FLOAT_RTOL", "values_match",
     "JobPool", "default_jobs", "run_jobs",
     "StageClock", "SweepStats",

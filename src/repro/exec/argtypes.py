@@ -9,16 +9,6 @@ from __future__ import annotations
 
 import argparse
 
-from .artifacts import parse_bytes
-
-
-def byte_count(text: str) -> int:
-    """A byte count with an optional K/M/G suffix, e.g. a cache budget."""
-    try:
-        return parse_bytes(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-
 
 def nonnegative_int(text: str) -> int:
     """An integer >= 0, e.g. a CCM size in bytes."""

@@ -21,14 +21,18 @@ An entry's key is ``sha256`` over three components:
   whole cache.  Correctness beats reuse: a stale hit after a compiler
   change would silently mask the change under test.
 
-Entries live under ``<root>/objects/<k[:W]>/<k>.pkl``, a git-style
-key-prefix fan-out whose width ``W`` (``_SHARD_WIDTH`` = 2, 256
-shards) keeps directory listings short even at millions of entries.
-``root`` defaults to ``$REPRO_CACHE_DIR`` or ``~/.cache/repro-ccm``;
-``clear()`` (or ``rm -rf``) empties it safely.
+Entries live under ``<root>/objects/<k[:2]>/<k>.pkl``, a git-style
+key-prefix fan-out that keeps directory listings short.  ``root``
+defaults to ``$REPRO_CACHE_DIR`` or ``~/.cache/repro-ccm``; ``clear()``
+(or ``rm -rf``) empties it safely.
 
-Concurrent use
---------------
+The store has no size budget and never evicts: a sweep writes a few
+KiB to a few hundred (a 20-seed difftest about 2 KiB, Table 2 about
+106 KiB), so there is nothing worth evicting.  ``clear()`` and
+self-healing are the only ways an entry goes away.
+
+What pool workers need
+----------------------
 The cache is shared by the worker processes of one sweep and by
 concurrent CLI invocations, so every mutation has to be safe against
 every other:
@@ -43,40 +47,23 @@ every other:
   replaced.
 * **Reads self-heal.**  A corrupt or truncated entry is treated as a
   miss, deleted, and recounted — never an error surfaced to the sweep.
-  A hit refreshes the entry's mtime, which is the LRU clock.
-* **Eviction is budgeted and advisory-locked.**  With a size budget
-  (``budget_bytes`` or ``$REPRO_CACHE_BUDGET``), :meth:`put`
-  opportunistically triggers :meth:`evict`, which removes
-  least-recently-used entries until the store fits the budget.  The
-  sweep takes a non-blocking ``flock`` on ``<root>/.evict-lock`` so
-  concurrent evictors never double-scan; a reader racing an eviction
-  sees an ordinary miss and recompiles.
+  A reader racing another process's ``clear()`` sees an ordinary miss
+  and recompiles; a writer racing it drops its entry and carries on.
 """
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
-import math
 import os
 import pickle
 import shutil
 import tempfile
-from typing import Iterable, Iterator, List, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 from ..trace import trace_counter
 
-_MISS = object()
-
 #: bump to invalidate every cache entry on pickle-layout changes
 _FORMAT = "repro-artifact-v1"
-
-#: trigger an eviction sweep after writing this fraction of the budget
-#: since the last sweep (amortizes the directory scan over many puts)
-_SWEEP_FRACTION = 8
-
-#: hex digits of the key prefix naming an entry's shard directory
-_SHARD_WIDTH = 2
 
 
 def default_cache_dir() -> str:
@@ -84,41 +71,6 @@ def default_cache_dir() -> str:
     if env:
         return env
     return os.path.join(os.path.expanduser("~"), ".cache", "repro-ccm")
-
-
-def default_cache_budget() -> Optional[int]:
-    """Size budget in bytes from ``$REPRO_CACHE_BUDGET`` (None = unbounded).
-
-    A malformed value raises ``ValueError`` naming the variable.
-    """
-    env = os.environ.get("REPRO_CACHE_BUDGET")
-    if not env:
-        return None
-    try:
-        return parse_bytes(env)
-    except ValueError as exc:
-        raise ValueError(f"$REPRO_CACHE_BUDGET: {exc}") from None
-
-
-def parse_bytes(text: str) -> int:
-    """Parse a byte count with an optional K/M/G suffix (``"256M"``).
-
-    Raises ``ValueError`` unless the count is a finite number >= 0.
-    """
-    number = text.strip()
-    scale = 1
-    suffixes = {"k": 1024, "m": 1024 ** 2, "g": 1024 ** 3}
-    if number and number[-1].lower() in suffixes:
-        scale = suffixes[number[-1].lower()]
-        number = number[:-1]
-    try:
-        value = float(number) * scale
-    except ValueError:
-        value = math.nan
-    if not 0 <= value < math.inf:
-        raise ValueError(f"invalid byte count {text!r} "
-                         f"(expected e.g. 4096, 512K, 256M or 1G)")
-    return int(value)
 
 
 def _package_root() -> str:
@@ -150,45 +102,17 @@ def code_version() -> str:
     return _code_version
 
 
-@contextlib.contextmanager
-def _eviction_lock(root: str) -> Iterator[bool]:
-    """Non-blocking advisory lock serializing eviction sweeps on one
-    cache root across processes.  Yields False (without the lock) when
-    another evictor already holds it — the caller skips its sweep, the
-    holder's sweep covers it.  Hosts without ``fcntl`` degrade to
-    unlocked sweeps, which are still safe (removal is idempotent), just
-    redundantly scanned."""
-    try:
-        import fcntl
-    except ImportError:                      # non-POSIX host
-        yield True
-        return
-    os.makedirs(root, exist_ok=True)
-    with open(os.path.join(root, ".evict-lock"), "w") as handle:
-        try:
-            fcntl.flock(handle, fcntl.LOCK_EX | fcntl.LOCK_NB)
-        except OSError:
-            yield False
-            return
-        try:
-            yield True
-        finally:
-            fcntl.flock(handle, fcntl.LOCK_UN)
-
-
 class ArtifactCache:
     """Pickle-backed content-addressed store; see the module docstring.
 
     The cache is safe to share between the worker processes of one
     sweep and between concurrent sweeps: keys are content hashes, so
     two writers racing on one key hold identical bytes and the first
-    published entry wins; eviction and reads race benignly (a reader
-    mid-eviction sees a miss).
+    published entry wins; a reader racing ``clear()`` sees a miss.
     """
 
     def __init__(self, root: Optional[str] = None,
-                 version: Optional[str] = None,
-                 budget_bytes: Optional[int] = None):
+                 version: Optional[str] = None):
         self.root = root or default_cache_dir()
         if version is None:
             version = code_version()
@@ -200,14 +124,10 @@ class ArtifactCache:
             if engine != "chaitin":
                 version = f"{version}+regalloc-{engine}"
         self.version = version
-        self.budget_bytes = (budget_bytes if budget_bytes is not None
-                             else default_cache_budget())
         self.hits = 0
         self.misses = 0
         self.errors = 0          # corrupt entries recovered as misses
         self.stores = 0          # entries written by put()
-        self.evicted = 0         # entries removed by evict()
-        self._stored_since_sweep = 0
 
     # -- keys -----------------------------------------------------------------
 
@@ -220,8 +140,7 @@ class ArtifactCache:
         return digest.hexdigest()
 
     def _path(self, key: str) -> str:
-        return os.path.join(self.root, "objects", key[:_SHARD_WIDTH],
-                            key + ".pkl")
+        return os.path.join(self.root, "objects", key[:2], key + ".pkl")
 
     # -- access ---------------------------------------------------------------
 
@@ -249,10 +168,6 @@ class ArtifactCache:
             return False, None
         self.hits += 1
         trace_counter("artifact.hit", 1)
-        try:
-            os.utime(path)       # refresh the LRU clock for eviction
-        except OSError:
-            pass                 # entry evicted mid-read; the value stands
         return True, value
 
     @staticmethod
@@ -276,99 +191,53 @@ class ArtifactCache:
         path = self._path(key)
         if os.path.exists(path) and self._verify(path):
             return
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path),
-                                   prefix=".tmp-" + key[:8])
+        shard = os.path.dirname(path)
+        tmp = None
         try:
+            os.makedirs(shard, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(dir=shard, prefix=".tmp-" + key[:8])
             with os.fdopen(fd, "wb") as handle:
                 pickle.dump(value, handle, protocol=pickle.HIGHEST_PROTOCOL)
-            size = os.path.getsize(tmp)
             os.replace(tmp, path)
-            self.stores += 1
-            trace_counter("artifact.store", 1)
+        except (FileNotFoundError, FileExistsError):
+            # another process's clear() removed the shard mid-write,
+            # temp file and all (makedirs reports a directory removed
+            # under it as existing): the entry goes with it, as if it
+            # had been published just before the clear
+            return
         except BaseException:
-            try:
-                os.remove(tmp)
-            except OSError:
-                pass
+            if tmp is not None:
+                try:
+                    os.remove(tmp)
+                except OSError:
+                    pass
             raise
-        if self.budget_bytes is not None:
-            self._stored_since_sweep += size
-            if self._stored_since_sweep >= max(
-                    self.budget_bytes // _SWEEP_FRACTION, 1):
-                self.evict()
+        self.stores += 1
+        trace_counter("artifact.store", 1)
 
-    # -- size budget and eviction ---------------------------------------------
-
-    def _scan(self) -> List[Tuple[int, int, str]]:
-        """Every entry as ``(mtime_ns, size, path)``."""
-        entries: List[Tuple[int, int, str]] = []
+    def _sizes(self) -> List[int]:
+        """The size of every published entry."""
+        sizes: List[int] = []
         objects = os.path.join(self.root, "objects")
         for dirpath, _dirnames, filenames in os.walk(objects):
             for name in filenames:
-                if not name.endswith(".pkl"):
-                    continue
-                path = os.path.join(dirpath, name)
-                try:
-                    stat = os.stat(path)
-                except OSError:
-                    continue     # evicted or still being renamed in
-                entries.append((stat.st_mtime_ns, stat.st_size, path))
-        return entries
-
-    def total_bytes(self) -> int:
-        return sum(size for _, size, _ in self._scan())
-
-    def evict(self, budget_bytes: Optional[int] = None) -> int:
-        """Remove least-recently-used entries until the store fits the
-        budget; returns the number of entries evicted.  A no-op without
-        a budget, and when another process is already sweeping."""
-        budget = budget_bytes if budget_bytes is not None \
-            else self.budget_bytes
-        self._stored_since_sweep = 0
-        if budget is None:
-            return 0
-        removed = 0
-        with _eviction_lock(self.root) as held:
-            if not held:
-                return 0
-            entries = self._scan()
-            total = sum(size for _, size, _ in entries)
-            for _mtime, size, path in sorted(entries):
-                if total <= budget:
-                    break
-                try:
-                    os.remove(path)
-                except OSError:
-                    continue     # a reader's self-heal beat us to it
-                total -= size
-                removed += 1
-        self.evicted += removed
-        if removed:
-            trace_counter("artifact.evict", removed)
-        return removed
+                if name.endswith(".pkl"):
+                    try:
+                        sizes.append(os.path.getsize(
+                            os.path.join(dirpath, name)))
+                    except OSError:
+                        continue     # cleared or self-healed mid-scan
+        return sizes
 
     def stats(self) -> dict:
         """Store-level statistics (the ``repro cache stats`` payload)."""
-        entries = self._scan()
-        shards = {os.path.basename(os.path.dirname(path))
-                  for _, _, path in entries}
-        return {
-            "root": self.root,
-            "entries": len(entries),
-            "total_bytes": sum(size for _, size, _ in entries),
-            "shards": len(shards),
-            "shard_width": _SHARD_WIDTH,
-            "budget_bytes": self.budget_bytes,
-        }
+        sizes = self._sizes()
+        return {"root": self.root, "entries": len(sizes),
+                "total_bytes": sum(sizes)}
 
     def clear(self) -> None:
         shutil.rmtree(os.path.join(self.root, "objects"),
                       ignore_errors=True)
 
     def __len__(self) -> int:
-        objects = os.path.join(self.root, "objects")
-        if not os.path.isdir(objects):
-            return 0
-        return sum(len([f for f in files if f.endswith(".pkl")])
-                   for _, _, files in os.walk(objects))
+        return len(self._sizes())

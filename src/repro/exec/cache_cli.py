@@ -4,35 +4,24 @@ The content-addressed cache under ``--cache-dir`` (default
 ``$REPRO_CACHE_DIR`` or ``~/.cache/repro-ccm``) is shared by every
 sweep CLI; this command is the operator's view of it::
 
-    python -m repro cache stats                  # entries, bytes, shards
+    python -m repro cache stats                  # entries and bytes
     python -m repro cache stats --json -         # machine-readable
-    python -m repro cache evict --budget 256M    # LRU-evict down to 256 MB
-    python -m repro cache evict                  # down to $REPRO_CACHE_BUDGET
     python -m repro cache clear                  # drop every entry
-
-``evict`` without ``--budget`` uses the configured budget
-(``$REPRO_CACHE_BUDGET``); with neither it is an error — an unbounded
-cache has nothing to evict to.  A malformed ``--budget`` or
-``$REPRO_CACHE_BUDGET`` is a usage error (exit status 2).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import sys
 from typing import List, Optional
 
-from .argtypes import byte_count
-from .artifacts import ArtifactCache, default_cache_budget, default_cache_dir
+from .artifacts import ArtifactCache, default_cache_dir
 
 _CACHE_DIR_HELP = ("artifact cache directory (default: "
                    "$REPRO_CACHE_DIR or ~/.cache/repro-ccm)")
 
 
-def _format_bytes(n: Optional[int]) -> str:
-    if n is None:
-        return "unbounded"
+def _format_bytes(n: int) -> str:
     value = float(n)
     for unit in ("B", "KiB", "MiB", "GiB"):
         if value < 1024 or unit == "GiB":
@@ -51,27 +40,12 @@ def add_cache_arguments(parser: argparse.ArgumentParser) -> None:
                         help="empty the artifact cache before running")
 
 
-def _open_cache(parser: argparse.ArgumentParser, root: Optional[str],
-                version: Optional[str] = None,
-                budget_bytes: Optional[int] = None) -> ArtifactCache:
-    """An :class:`ArtifactCache`; a malformed ``$REPRO_CACHE_BUDGET`` is
-    a usage error that names the variable."""
-    if budget_bytes is None:
-        try:
-            budget_bytes = default_cache_budget()
-        except ValueError as exc:
-            parser.error(str(exc))
-    return ArtifactCache(root or default_cache_dir(), version=version,
-                         budget_bytes=budget_bytes)
-
-
-def cache_from_args(parser: argparse.ArgumentParser,
-                    args: argparse.Namespace) -> Optional[ArtifactCache]:
+def cache_from_args(args: argparse.Namespace) -> Optional[ArtifactCache]:
     """The cache selected by :func:`add_cache_arguments`' flags (None
     under ``--no-cache``), cleared first under ``--clear-cache``."""
     if args.no_cache:
         return None
-    cache = _open_cache(parser, args.cache_dir)
+    cache = ArtifactCache(args.cache_dir or default_cache_dir())
     if args.clear_cache:
         cache.clear()
     return cache
@@ -81,13 +55,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro cache",
         description="Inspect and manage the on-disk artifact cache")
-    parser.add_argument("action", choices=("stats", "evict", "clear"))
+    parser.add_argument("action", choices=("stats", "clear"))
     parser.add_argument("--cache-dir", metavar="DIR", default=None,
                         help=_CACHE_DIR_HELP)
-    parser.add_argument("--budget", metavar="BYTES", type=byte_count,
-                        default=None,
-                        help="size budget for 'evict' (accepts K/M/G "
-                             "suffixes; default: $REPRO_CACHE_BUDGET)")
     parser.add_argument("--json", metavar="PATH", nargs="?", const="-",
                         default=None,
                         help="write the result as JSON to PATH ('-' for "
@@ -98,8 +68,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    cache = _open_cache(parser, args.cache_dir, version="cli",
-                        budget_bytes=args.budget)
+    cache = ArtifactCache(args.cache_dir or default_cache_dir(),
+                          version="cli")
 
     if args.action == "clear":
         before = cache.stats()
@@ -109,23 +79,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         message = (f"cleared {payload['cleared']} entries "
                    f"({_format_bytes(payload['freed_bytes'])}) "
                    f"from {cache.root}")
-    elif args.action == "evict":
-        if cache.budget_bytes is None:
-            print("repro cache evict: no budget configured "
-                  "(--budget BYTES or $REPRO_CACHE_BUDGET)",
-                  file=sys.stderr)
-            return 2
-        removed = cache.evict()
-        payload = {"evicted": removed, **cache.stats()}
-        message = (f"evicted {removed} entries; {payload['entries']} "
-                   f"remain ({_format_bytes(payload['total_bytes'])} of "
-                   f"{_format_bytes(payload['budget_bytes'])} budget)")
     else:
         payload = cache.stats()
         message = (f"{payload['root']}: {payload['entries']} entries, "
-                   f"{_format_bytes(payload['total_bytes'])} across "
-                   f"{payload['shards']} shards (budget "
-                   f"{_format_bytes(payload['budget_bytes'])})")
+                   f"{_format_bytes(payload['total_bytes'])}")
 
     if args.json == "-":
         print(json.dumps(payload, indent=2))

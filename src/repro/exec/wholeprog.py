@@ -618,7 +618,7 @@ def cli_main(argv=None) -> int:
         from dataclasses import replace
         machine = replace(machine, ccm_bytes=args.ccm)
     jobs = args.jobs if args.jobs is not None else default_jobs()
-    artifacts = None if args.serial_walk else cache_from_args(parser, args)
+    artifacts = None if args.serial_walk else cache_from_args(args)
 
     profile = AppProfile(n_routines=args.routines, seed=args.seed,
                          levels=args.levels)

@@ -97,7 +97,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     workloads = args.routines
     jobs = args.jobs if args.jobs is not None else default_jobs()
-    artifacts = cache_from_args(parser, args)
+    artifacts = cache_from_args(args)
     trace = args.trace or args.trace_out is not None
     recorder = TraceRecorder() if trace else None
     runner = ExperimentRunner(jobs=jobs, artifacts=artifacts,

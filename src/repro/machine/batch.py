@@ -2,9 +2,9 @@
 
 A difftest lattice (and the section 4.3 ablation grid) executes the
 *same compiled code* under many machine-parameter points — only ~18% of
-decoded programs in a sweep are unique.  The decode cache already
-amortizes decoding, but a scalar run still pays the full
-per-instruction dispatch cost once per config.  A batch pays it once:
+decoded programs in a sweep are unique.  A scalar run pays the decode
+and the full per-instruction dispatch cost once per config.  A batch
+pays them once:
 
 * **Architectural sharing.**  Two machine configurations produce the
   same values, memory image, control flow, and traps whenever they
@@ -188,8 +188,8 @@ def _encode(program: Program) -> list:
 def program_fingerprint(program: Program) -> str:
     """Stable content digest over every execution-relevant IR field.
 
-    Unlike the decode cache's in-process ``hash()`` fingerprint this
-    survives process (and ``PYTHONHASHSEED``) boundaries, so batch
+    Unlike an in-process ``hash()`` of the same parts this survives
+    process (and ``PYTHONHASHSEED``) boundaries, so batch
     composition is deterministic across worker processes.  The parts
     are serialized with ``marshal`` format 2, which writes every value
     by type and content (no object references, no interning flags, so

@@ -15,14 +15,14 @@ spill traffic:
   closure creation, read back as fast locals);
 * branch targets resolve to direct :class:`_DBlock` references, so the
   hot loop never touches a label;
-* the decoded form is cached per :class:`~repro.ir.Function` (a
-  :class:`weakref.WeakKeyDictionary`, validated by a content
-  fingerprint because passes like CCM promotion and compaction
-  mutate instructions *in place* between simulations) and shared
-  *across* structurally-identical functions through a content-keyed
-  weak-value map — in a difftest lattice most configs compile to
-  identical code, so only ~40% of artifact instructions ever reach the
-  closure compiler.
+* each run decodes a function the first time it is entered and keeps
+  the decoded form for that run only (``_Engine.decoded``).  Nothing
+  outlives the run: passes like CCM promotion and compaction mutate
+  instructions *in place* between simulations, so a later run decodes
+  afresh, and a simulated :class:`~repro.ir.Function` is free to be
+  collected once its program is dropped.  A
+  :class:`~repro.machine.batch.BatchSimulation` runs the driver once
+  for a whole group of machines, so the group shares one decode.
 
 :func:`drive` is the one driver: :meth:`Simulator.run
 <repro.machine.simulator.Simulator.run>` calls it once per run, and
@@ -46,7 +46,6 @@ touch a counter.
 
 from __future__ import annotations
 
-import weakref
 from typing import Dict, List, Optional, Tuple
 
 from ..ir import Opcode, PhysReg, RegClass, VirtualReg
@@ -132,12 +131,11 @@ class _DFrame:
 
 
 class DecodedFunction:
-    __slots__ = ("fn", "name", "frame_size", "n_slots", "n_params",
-                 "param_descs", "entry", "blocks", "__weakref__")
+    __slots__ = ("name", "frame_size", "n_slots", "n_params",
+                 "param_descs", "entry", "blocks")
 
-    def __init__(self, fn, name, frame_size, n_slots, param_descs,
-                 entry, blocks):
-        self.fn = fn
+    def __init__(self, name, frame_size, n_slots, param_descs, entry,
+                 blocks):
         self.name = name
         self.frame_size = frame_size
         self.n_slots = n_slots
@@ -182,8 +180,7 @@ def _caller_saved_slots(machine) -> Tuple:
 
 
 class _Decoder:
-    def __init__(self, fn, machine, has_cache: bool):
-        self.fn = fn
+    def __init__(self, machine, has_cache: bool):
         self.machine = machine
         self.has_cache = has_cache
         self.n_vslots = 0
@@ -693,99 +690,23 @@ def _make_felloff(fn_name: str, label: str):
     return core
 
 
-# -- the decode cache ------------------------------------------------------------
-
-#: Function -> (fingerprint, {(machine, has_cache): DecodedFunction})
-_DECODE_CACHE: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-
-#: (fingerprint, name, n_instrs, machine, has_cache) -> DecodedFunction.
-#: Decoded closures carry no program-specific state outside ``eng``
-#: (symbols resolve at run time, constants are baked from instruction
-#: *content*), so structurally-identical functions — pervasive across a
-#: difftest lattice, where many configs compile to the same code — can
-#: share one decoded form.  Weak values: an entry lives only while some
-#: per-Function cache entry still holds the DecodedFunction.
-_DECODE_BY_CONTENT: "weakref.WeakValueDictionary" = \
-    weakref.WeakValueDictionary()
-
-
-#: Opcode -> small int, so fingerprinting hashes ints instead of going
-#: through the (surprisingly slow) enum ``__hash__`` per instruction.
-#: In-process only, so the mapping need not be stable across runs.
-_OP_IDS = {op: n for n, op in enumerate(Opcode)}
-
-
-def _fingerprint(fn) -> int:
-    """Content hash of everything the decoder bakes into closures.
-
-    Object identity is not enough: CCM promotion, spill compaction and
-    the peephole passes rewrite instructions *in place* (opcode, imm,
-    operands) between simulations of the same :class:`Function`.
-
-    Each instruction part carries a virtual-operand bitmask next to the
-    operand tuples: ``VirtualReg`` and ``PhysReg`` of the same index
-    intentionally share a hash value (allocator tie-breaking pins it),
-    and rewriting one into the other is exactly what register
-    allocation does — the fingerprint must see that as a different
-    function.
-    """
-    op_ids = _OP_IDS
-    vreg = VirtualReg
-    pmask = 0
-    for p in fn.params:
-        pmask = (pmask << 1) | (1 if type(p) is vreg else 0)
-    parts: List = [fn.name, fn.frame_size, tuple(fn.params), pmask]
-    for block in fn.blocks:
-        parts.append(block.label)
-        for i in block.instructions:
-            mask = 0
-            for r in i.dsts:
-                mask = (mask << 1) | (1 if type(r) is vreg else 0)
-            for r in i.srcs:
-                mask = (mask << 1) | (1 if type(r) is vreg else 0)
-            parts.append((op_ids[i.opcode], mask, tuple(i.dsts),
-                          tuple(i.srcs), i.imm, tuple(i.labels), i.symbol))
-    return hash(tuple(parts))
-
+# -- decoding --------------------------------------------------------------------
 
 def decode_function(fn, machine, has_cache: bool) -> DecodedFunction:
-    """The decoded form of ``fn``, from cache when still valid."""
-    key = (machine, has_cache)
-    fp = _fingerprint(fn)
-    entry = _DECODE_CACHE.get(fn)
+    """Decode ``fn`` for ``machine``: a fresh :class:`DecodedFunction`
+    on every call (a run memoizes it in ``_Engine.decoded``)."""
     recorder = _trace_current()
-    if entry is not None and entry[0] == fp:
-        dfn = entry[1].get(key)
-        if dfn is not None:
-            if recorder is not None:
-                recorder.counter("sim.decode.reused")
-            return dfn
-    else:
-        entry = (fp, {})
-        _DECODE_CACHE[fn] = entry
-    # name and size ride along as cheap extra discriminators on top of
-    # the content hash
-    ckey = (fp, fn.name, fn.instruction_count(), machine, has_cache)
-    dfn = _DECODE_BY_CONTENT.get(ckey)
-    if dfn is not None:
-        if recorder is not None:
-            recorder.counter("sim.decode.shared")
-        entry[1][key] = dfn
-        return dfn
     if recorder is None:
+        return _decode(fn, machine, has_cache)
+    with recorder.span("sim.decode", fn=fn.name):
         dfn = _decode(fn, machine, has_cache)
-    else:
-        with recorder.span("sim.decode", fn=fn.name):
-            dfn = _decode(fn, machine, has_cache)
-        recorder.counter("sim.decode.functions")
-        recorder.counter("sim.decode.instructions", fn.instruction_count())
-    entry[1][key] = dfn
-    _DECODE_BY_CONTENT[ckey] = dfn
+    recorder.counter("sim.decode.functions")
+    recorder.counter("sim.decode.instructions", fn.instruction_count())
     return dfn
 
 
 def _decode(fn, machine, has_cache: bool) -> DecodedFunction:
-    dec = _Decoder(fn, machine, has_cache)
+    dec = _Decoder(machine, has_cache)
     # number the parameters first so the slot layout is stable
     param_descs = tuple(dec.desc(p) for p in fn.params)
     blocks = {b.label: _DBlock(b.label) for b in fn.blocks}
@@ -794,7 +715,7 @@ def _decode(fn, machine, has_cache: bool) -> DecodedFunction:
         for instr in b.instructions:
             steps.append(dec.compile(instr, blocks))
         steps.append(_make_felloff(fn.name, b.label))
-    return DecodedFunction(fn, fn.name, fn.frame_size, dec.n_vslots,
+    return DecodedFunction(fn.name, fn.frame_size, dec.n_vslots,
                            param_descs, blocks[fn.entry.label], blocks)
 
 

@@ -24,10 +24,10 @@ METRIC_PREFIXES = (
 )
 
 #: counter prefixes that depend on *how* a run executed, not on the
-#: compiled code: the batch grouping/fan-out counters (and the
-#: decode-cache counters) vary with batch composition and decode
-#: sharing, so pinning them would make the baseline gate fail on
-#: execution changes that leave compile quality untouched
+#: compiled code: the batch grouping/fan-out counters (and the decode
+#: counters) vary with batch composition, so pinning them would make
+#: the baseline gate fail on execution changes that leave compile
+#: quality untouched
 ENGINE_PREFIXES = ("sim.batch.", "sim.decode.")
 
 #: span names are timing, not compile quality — never baselined

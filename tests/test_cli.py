@@ -127,10 +127,17 @@ class TestRangeChecks:
         (["run", "kernel.mfl", "--args", "x"], "--args"),
         (["run", "kernel.mfl", "--ccm", "-8"], "--ccm"),
         (["emit", "kernel.mfl", "--ccm", "-8"], "--ccm"),
-        (["cache", "evict", "--budget", "12Q"], "--budget"),
     ])
     def test_usage_error_names_argument(self, argv, argument, capsys):
         with pytest.raises(SystemExit) as info:
             repro_main(argv)
         assert info.value.code == 2
         assert f"argument {argument}" in capsys.readouterr().err
+
+    def test_cache_evict_is_not_an_action(self, capsys):
+        # the store has no size budget, so there is nothing to evict to
+        with pytest.raises(SystemExit) as info:
+            repro_main(["cache", "evict"])
+        assert info.value.code == 2
+        assert ("argument action: invalid choice: 'evict'"
+                in capsys.readouterr().err)

@@ -1,34 +1,33 @@
 """Concurrency stress for the artifact store and pool teardown.
 
 The cache's multi-writer story (write-once-verify publication, atomic
-renames, advisory-locked LRU eviction) is exercised here with real
-processes racing on one directory:
+renames, self-healing reads) is exercised here with real processes
+racing on one directory:
 
 * two writers hammering the same keys must never produce a torn or
   wrong entry, and first-publish-wins must hold;
-* a reader racing a concurrent evictor must only ever observe a clean
-  miss or the correct value — never an exception, never garbage.
+* a reader racing churning writers and a concurrent ``clear()`` (what
+  another sweep's ``--clear-cache`` does) must only ever observe a
+  clean miss or the correct value — never an exception, never garbage.
 
 The :class:`~repro.exec.JobPool` bounded-shutdown contract rides along:
 ``close()`` must reap every worker within its drain window, clean or
-not, so a Ctrl-C'd sweep or a SIGTERM'd daemon cannot orphan processes.
+not, so a Ctrl-C'd or SIGTERM'd sweep cannot orphan processes.
 """
 
 import multiprocessing
-import os
 import time
 
 import pytest
 
 from repro.exec import ArtifactCache, JobPool
-from repro.exec.artifacts import parse_bytes
 
 KEYS = [f"{i:02x}" * 32 for i in range(8)]       # 8 distinct 64-hex keys
 
 
 def _value_for(key):
     """The one true value of a content-addressed key (deterministic, a
-    few hundred bytes so sizes are meaningful for budgets)."""
+    few hundred bytes)."""
     return {"key": key, "payload": key * 8, "rows": list(range(32))}
 
 
@@ -43,12 +42,12 @@ def _writer_proc(root, keys, rounds, barrier):
             cache.put(key, _value_for(key))
 
 
-def _evictor_proc(root, budget, stop_after_s, barrier):
+def _clearer_proc(root, stop_after_s, barrier):
     cache = ArtifactCache(root, version="stress")
     barrier.wait()
     deadline = time.monotonic() + stop_after_s
     while time.monotonic() < deadline:
-        cache.evict(budget)
+        cache.clear()
 
 
 def _churn_writer_proc(root, keys, stop_after_s, barrier):
@@ -125,92 +124,24 @@ class TestConcurrentWriters:
             assert hit and value == _value_for(key)
         assert cache.errors == 0
 
-    def test_reader_mid_eviction_sees_miss_or_value(self, tmp_path, mp):
-        """The acceptance scenario: writers churn entries, an evictor
-        sweeps them away on a tiny budget, and a reader must only ever
-        see clean misses or correct values."""
+    def test_reader_mid_clear_sees_miss_or_value(self, tmp_path, mp):
+        """The acceptance scenario: writers churn entries, another
+        process clears the store over and over, and a reader must only
+        ever see clean misses or correct values; no writer fails."""
         root = str(tmp_path / "cache")
         seconds = 2.0
         failures = mp.Queue()
-        barrier = mp.Barrier(3)
+        barrier = mp.Barrier(4)
         _run([
-            mp.Process(target=_churn_writer_proc,
-                       args=(root, KEYS, seconds, barrier)),
-            mp.Process(target=_evictor_proc,
-                       args=(root, 1024, seconds, barrier)),
+            *(mp.Process(target=_churn_writer_proc,
+                         args=(root, KEYS, seconds, barrier))
+              for _ in range(2)),
+            mp.Process(target=_clearer_proc,
+                       args=(root, seconds, barrier)),
             mp.Process(target=_reader_proc,
                        args=(root, KEYS, seconds, barrier, failures)),
         ])
         assert failures.empty(), failures.get()
-
-
-class TestBudgetedEviction:
-    def _fill(self, cache, n):
-        keys = KEYS[:n]
-        for key in keys:
-            cache.put(key, _value_for(key))
-        return keys
-
-    def test_lru_order_is_the_mtime_clock(self, tmp_path):
-        cache = ArtifactCache(str(tmp_path), version="stress")
-        keys = self._fill(cache, 4)
-        sizes = {key: os.path.getsize(cache._path(key)) for key in keys}
-        # pin mtimes explicitly: keys[0] oldest .. keys[3] newest
-        for age, key in enumerate(keys):
-            t = 1_000_000 + age * 100
-            os.utime(cache._path(key), (t, t))
-        keep_two = sizes[keys[2]] + sizes[keys[3]]
-        removed = cache.evict(keep_two)
-        assert removed == 2
-        assert cache.evicted == 2
-        assert not os.path.exists(cache._path(keys[0]))
-        assert not os.path.exists(cache._path(keys[1]))
-        assert cache.get(keys[2])[0] and cache.get(keys[3])[0]
-        assert cache.total_bytes() <= keep_two
-
-    def test_hit_refreshes_the_lru_clock(self, tmp_path):
-        cache = ArtifactCache(str(tmp_path), version="stress")
-        keys = self._fill(cache, 2)
-        old = 1_000_000
-        for key in keys:
-            os.utime(cache._path(key), (old, old))
-        cache.get(keys[0])            # refresh: now keys[1] is the LRU
-        cache.evict(os.path.getsize(cache._path(keys[0])))
-        assert cache.get(keys[0])[0]
-        assert not os.path.exists(cache._path(keys[1]))
-
-    def test_put_triggers_eviction_at_budget(self, tmp_path):
-        entry_size = None
-        probe = ArtifactCache(str(tmp_path / "probe"), version="stress")
-        probe.put(KEYS[0], _value_for(KEYS[0]))
-        entry_size = probe.total_bytes()
-        budget = entry_size * 3
-        cache = ArtifactCache(str(tmp_path / "real"), version="stress",
-                              budget_bytes=budget)
-        for key in KEYS:
-            cache.put(key, _value_for(key))
-            time.sleep(0.002)         # keep the mtime clock monotonic
-        # the opportunistic sweep keeps the store near the budget; one
-        # manual sweep settles any residue from the final put
-        cache.evict()
-        assert cache.total_bytes() <= budget
-        assert cache.evicted >= len(KEYS) - 3
-
-    def test_eviction_without_budget_is_a_noop(self, tmp_path):
-        cache = ArtifactCache(str(tmp_path), version="stress")
-        self._fill(cache, 3)
-        assert cache.evict() == 0
-        assert len(cache) == 3
-
-    def test_stats_shape(self, tmp_path):
-        cache = ArtifactCache(str(tmp_path), version="stress",
-                              budget_bytes=parse_bytes("1M"))
-        self._fill(cache, 3)
-        stats = cache.stats()
-        assert stats["entries"] == 3
-        assert stats["budget_bytes"] == 1024 ** 2
-        assert stats["total_bytes"] == cache.total_bytes()
-        assert 1 <= stats["shards"] <= 3
 
 
 # -- JobPool bounded teardown --------------------------------------------------

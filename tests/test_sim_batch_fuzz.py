@@ -24,8 +24,7 @@ A small seed range runs in tier 1; the ≥200-seed sweep carries the
 cross-process test pins batch *grouping* and batched results against
 hostile ``PYTHONHASHSEED`` values: ``batch_key`` hashes the program's
 content with sha256 precisely so that worker processes agree on batch
-composition, unlike the decode cache's in-process ``hash()``
-fingerprint.
+composition, which an in-process ``hash()`` would not guarantee.
 """
 
 import dataclasses

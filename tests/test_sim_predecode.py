@@ -6,20 +6,23 @@ observable behaviour — return value, every ``RunStats`` field, globals,
 architectural register file, exception type/kind/message — is
 bit-identical.  The broad randomized sweep lives in
 ``test_sim_engine_fuzz.py``; this file pins the hand-written corner
-cases (traps, poisoning, block profiling, decode-cache invalidation)
-with literal expected values.
+cases (traps, poisoning, re-decoding after in-place mutation, no
+decode outliving its program) with literal expected values.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import gc
+import weakref
+
 import pytest
 
 from repro.ir import PhysReg, RegClass, parse_program
-from repro.machine import (CacheConfig, DataCache, MachineConfig, OutOfFuel,
+from repro.machine import (BatchMember, BatchSimulation, CacheConfig,
+                           DataCache, MachineConfig, OutOfFuel,
                            SimulationError, Simulator)
-from repro.machine import predecode
 from repro.machine.predecode import decode_function
-from repro.trace import TraceRecorder, recording
 
 from sim_oracle import simulator
 
@@ -410,28 +413,8 @@ entry:
         instr.imm = 42
         assert sim.run().value == 42
 
-    def test_decode_cache_reused_across_simulators(self):
-        # Earlier tests may have left a structurally-identical decoded
-        # form alive in the content-keyed map; start from a clean slate
-        # so the first run below is a genuine decode.
-        predecode._DECODE_CACHE.clear()
-        predecode._DECODE_BY_CONTENT.clear()
-        prog = parse_program(TRIVIAL)
-        recorder = TraceRecorder()
-        with recording(recorder):
-            Simulator(prog).run()
-            Simulator(prog).run()
-        assert recorder.counters.get("sim.decode.functions", 0) >= 1
-        assert recorder.counters.get("sim.decode.reused", 0) >= 1
-
 
 class TestDecodedFunctionShape:
-    def test_decode_is_memoized_per_machine(self):
-        fn = parse_program(TRIVIAL).functions["main"]
-        first = decode_function(fn, MachineConfig(), False)
-        second = decode_function(fn, MachineConfig(), False)
-        assert first is second
-
     def test_decode_split_by_cache_presence(self):
         prog = parse_program("""
 .program p
@@ -448,34 +431,10 @@ entry:
         cached = decode_function(fn, MachineConfig(), True)
         assert plain is not cached
 
-    def test_identical_functions_share_one_decoded_form(self):
-        # content-keyed sharing: the difftest lattice compiles many
-        # configs to identical code; each decodes only once
-        fn1 = parse_program(TRIVIAL).functions["main"]
-        fn2 = parse_program(TRIVIAL).functions["main"]
-        assert fn1 is not fn2
-        d1 = decode_function(fn1, MachineConfig(), False)
-        d2 = decode_function(fn2, MachineConfig(), False)
-        assert d1 is d2
-
-    def test_fingerprint_distinguishes_virtual_from_physical(self):
-        # %v0 and r0 hash identically on purpose (allocator
-        # tie-breaking pins the register hash), and register allocation
-        # rewrites one into the other in place — the fingerprint must
-        # not let a pre-allocation decode serve post-allocation code
-        from repro.machine.predecode import _fingerprint
-
-        virt = parse_program(TRIVIAL).functions["main"]
-        phys = parse_program(TRIVIAL.replace("%v0", "r0")).functions["main"]
-        assert _fingerprint(virt) != _fingerprint(phys)
-        dv = decode_function(virt, MachineConfig(), False)
-        dp = decode_function(phys, MachineConfig(), False)
-        assert dv is not dp
-
     def test_shared_decode_keeps_poison_semantics(self):
-        # the regression the fingerprint bug caused: a call returning
-        # into %v0 and one returning into r0 are different programs
-        # with different caller-saved poison sets
+        # a call returning into %v0 and one returning into r0 are
+        # different programs with different caller-saved poison sets
+        # (%v0 and r0 hash alike, which once let them share a decode)
         template = """
 .program p
 .func main()
@@ -495,3 +454,53 @@ entry:
                                 parse_program(template.format(dst=dst)),
                                 poison_caller_saved=True)
                 assert sim.run().value == 9, (dst, engine)
+
+
+CALLER = """
+.program p
+.global A 4 int = 5
+.func main()
+entry:
+    call callee() => %v0
+    ret %v0
+.endfunc
+.func callee()
+entry:
+    loadG @A => %v0
+    load %v0 => %v1
+    ret %v1
+.endfunc
+"""
+
+
+class TestNoDecodeOutlivesItsProgram:
+    """A decoded form lives only as long as its run: once a simulated
+    program is dropped, every one of its functions is collectable."""
+
+    @staticmethod
+    def _function_refs(run):
+        prog = parse_program(CALLER)
+        refs = [weakref.ref(fn) for fn in prog.functions.values()]
+        run(prog)
+        return refs
+
+    @staticmethod
+    def _assert_collected(refs):
+        gc.collect()
+        assert refs and all(ref() is None for ref in refs)
+
+    def test_scalar_run(self):
+        def run(prog):
+            assert Simulator(prog).run().value == 5
+
+        self._assert_collected(self._function_refs(run))
+
+    def test_batch_run(self):
+        def run(prog):
+            members = [BatchMember(dataclasses.replace(
+                MachineConfig(), memory_latency=2 + i),
+                cache=CacheConfig() if i else None) for i in range(3)]
+            results = BatchSimulation(prog, members).run()
+            assert [r.value for r in results] == [5, 5, 5]
+
+        self._assert_collected(self._function_refs(run))

@@ -34,7 +34,6 @@ print("\\n".join(m for m in sys.modules if m.split(".")[0] == "repro"))
 def test_cli_loads_no_heavy_module(argv, tmp_path):
     env = dict(os.environ, PYTHONPATH=SRC,
                REPRO_CACHE_DIR=str(tmp_path))
-    env.pop("REPRO_CACHE_BUDGET", None)
     proc = subprocess.run([sys.executable, "-c", PROBE, *argv], env=env,
                           capture_output=True, text=True, check=True)
     loaded = proc.stdout.split()
