@@ -26,13 +26,12 @@ from .corpus import corpus_dir, iter_corpus, save_corpus_entry
 from .gen import FuzzProfile, generate_source, profile_for_seed
 from .reduce import reduce_source
 from .runner import (DEFAULT_CCM_SIZES, Divergence, DiffConfig, FuzzReport,
-                     SeedResult, check_seed, check_source, config_lattice,
-                     execute_reference, run_fuzz)
+                     SeedResult, check_source, config_lattice, run_fuzz)
 
 __all__ = [
     "DEFAULT_CCM_SIZES", "DiffConfig", "Divergence", "FuzzProfile",
-    "FuzzReport", "SeedResult", "check_seed", "check_source",
-    "config_lattice", "corpus_dir", "execute_reference", "generate_source",
+    "FuzzReport", "SeedResult", "check_source", "config_lattice",
+    "corpus_dir", "generate_source",
     "iter_corpus", "profile_for_seed", "reduce_source", "run_fuzz",
     "save_corpus_entry",
 ]

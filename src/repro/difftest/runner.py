@@ -27,6 +27,7 @@ from __future__ import annotations
 import functools
 import json
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -257,24 +258,6 @@ def _execute(program: Program, machine: MachineConfig,
                    stats=run.stats)
 
 
-def execute_reference(source: str) -> Tuple[Optional[Outcome], Optional[str]]:
-    """Run the unoptimized, unallocated program: the semantic oracle.
-
-    Returns (outcome, skip_reason); a reference that fails to compile or
-    hits a machine-kind error is a generator bug, not a compiler bug, so
-    the seed is reported as skipped rather than divergent.
-    """
-    try:
-        program = compile_source(source)
-        verify_program(program)
-    except Exception as exc:
-        return None, f"reference failed to compile: {exc}"
-    try:
-        return _execute(program, MachineConfig(), poison=False), None
-    except SimulationError as exc:
-        return None, f"reference machine error: {exc}"
-
-
 def _globals_match(a: Dict[str, tuple], b: Dict[str, tuple]) -> Optional[str]:
     for name in a:
         va, vb = a[name], b.get(name)
@@ -371,19 +354,8 @@ def check_source(source: str, configs: Optional[Sequence[DiffConfig]] = None,
     return _record(artifacts, key, result)
 
 
-class _NullTimer:
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-
-_NULL_TIMER = _NullTimer()
-
-
 def _timed(clock: Optional[StageClock], name: str):
-    return clock.stage(name) if clock is not None else _NULL_TIMER
+    return clock.stage(name) if clock is not None else nullcontext()
 
 
 def _record(artifacts: Optional[ArtifactCache], key: Optional[str],
@@ -614,13 +586,6 @@ def _check_all_batched(plan: CompilePlan, configs: Sequence[DiffConfig],
         if divergence is not None:
             divergences.append(divergence)
     return divergences
-
-
-def check_seed(seed: int, configs: Optional[Sequence[DiffConfig]] = None,
-               artifacts: Optional[ArtifactCache] = None) -> SeedResult:
-    """Generate the seed's program and differentially test it."""
-    return check_source(generate_source(seed), configs, seed=seed,
-                        artifacts=artifacts)
 
 
 def _seed_job(seed: int, configs: Sequence[DiffConfig],

@@ -10,7 +10,7 @@ the working set flat:
 * **SCC condensation first.**  The declared call edges are condensed
   with :func:`repro.analysis.tarjan_sccs` *before any function is
   built*.  Within one SCC every member sees the conservative whole-CCM
-  mark for its in-SCC callees (exactly the serial walk's behaviour —
+  mark for its in-SCC callees (exactly the monolithic walk's behaviour —
   an unprocessed callee defaults to ``ccm_bytes``, and a processed
   cycle member records ``ccm_bytes``), so all members of an SCC are
   independent jobs; across SCCs, callee-before-caller dependencies are
@@ -41,9 +41,10 @@ the working set flat:
   peak RSS does not grow with routine count.  ``keep_routines=True``
   retains per-routine rows for the equivalence tests.
 
-The serial reference is ``jobs=1, coalesce=False, artifacts=None`` —
-the plain bottom-up walk, one compile per routine, the engine the
-throughput benchmark measures against.
+:func:`monolithic_report` is the independent check: it compiles the
+whole application as one ``Program`` through the serial bottom-up walk
+of :func:`repro.ccm.promote_spills_postpass`, and the equivalence tests
+hold the engine bit-identical to it.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ from .stats import StageClock, StageStat, SweepStats
 
 __all__ = [
     "SccSchedule", "WholeProgramReport", "compile_whole_program",
-    "monolithic_report", "scc_schedule_json", "cli_main",
+    "monolithic_report", "cli_main",
 ]
 
 
@@ -117,14 +118,6 @@ class SccSchedule:
             recursive[i] = (len(comp) > 1
                             or comp[0] in adjacency.get(comp[0], ()))
         return cls(components, scc_of, deps, dependents, waves, recursive)
-
-
-def scc_schedule_json(adjacency: Mapping[str, Tuple[str, ...]]) -> str:
-    """Stable JSON of (components, waves) — the cross-process
-    determinism probe: equal strings under any ``PYTHONHASHSEED``."""
-    schedule = SccSchedule.build(adjacency)
-    return json.dumps({"components": schedule.components,
-                       "waves": schedule.waves})
 
 
 # -- the per-routine job -------------------------------------------------------
@@ -362,14 +355,11 @@ def compile_whole_program(app, machine: MachineConfig, jobs: int = 1,
                           artifacts: Optional[ArtifactCache] = None,
                           stats: Optional[SweepStats] = None,
                           keep_routines: bool = False,
-                          coalesce: bool = True,
                           stream: Optional[Callable[[str, dict], None]] = None
                           ) -> WholeProgramReport:
     """Compile an :class:`~repro.workloads.appgen.Application` with the
     SCC-wave engine.
 
-    ``jobs=1, coalesce=False, artifacts=None`` is the serial reference:
-    the plain bottom-up walk, one compile per routine, no reuse.
     ``stream`` receives ``(name, row)`` for every routine as its SCC
     resolves — rows are not retained unless ``keep_routines=True``.
     """
@@ -454,14 +444,6 @@ def compile_whole_program(app, machine: MachineConfig, jobs: int = 1,
                     hw_items = tuple(sorted(
                         (c, high_water.get(c, ccm))
                         for c in set(adjacency[name])))
-                    unit = app.unit_source(name)
-                    if not coalesce:
-                        future = pool.submit(
-                            _routine_job, name, unit, unit, hw_items,
-                            machine, cache_root, cache_version)
-                        inflight[f"!{name}"] = (future, [name])
-                        report.unique_compiles += 1
-                        continue
                     norm = app.normalized_unit_source(name)
                     key = _coalesce_key(norm, _job_config(machine, hw_items))
                     if key in memo:
@@ -472,8 +454,8 @@ def compile_whole_program(app, machine: MachineConfig, jobs: int = 1,
                         inflight[key][1].append(name)
                     else:
                         future = pool.submit(
-                            _routine_job, name, unit, norm, hw_items,
-                            machine, cache_root, cache_version)
+                            _routine_job, name, app.unit_source(name), norm,
+                            hw_items, machine, cache_root, cache_version)
                         inflight[key] = (future, [name])
                         report.unique_compiles += 1
             if not inflight:
@@ -485,8 +467,7 @@ def compile_whole_program(app, machine: MachineConfig, jobs: int = 1,
                 future, members = inflight.pop(key)
                 outcome, payload = future.result()
                 stats.merge_job(payload)
-                if coalesce:
-                    memo[key] = outcome
+                memo[key] = outcome
                 for name in members:
                     finish_routine(name, outcome)
     finally:
@@ -509,11 +490,11 @@ def monolithic_report(app, machine: MachineConfig,
     (:func:`repro.ccm.promote_spills_postpass`) and shape the result
     like the engine's report.
 
-    This is the independent oracle of the two-engine pattern: it shares
-    no scheduling, coalescing, or unit-splitting code with the engine —
-    only the per-function pipeline itself.  Small scales only: it
-    builds every function at once, which is exactly what the engine
-    exists to avoid.
+    The engine's independent oracle, used by the equivalence tests and
+    the end-to-end benchmark: it shares no scheduling, coalescing, or
+    unit-splitting code with the engine — only the per-function
+    pipeline itself.  Small scales only: it builds every function at
+    once, which is exactly what the engine exists to avoid.
     """
     from ..ccm import promote_spills_postpass
     from ..frontend import compile_source
@@ -591,15 +572,6 @@ def cli_main(argv=None) -> int:
     parser.add_argument("-j", "--jobs", type=int, default=None, metavar="N",
                         help="worker processes (default: all cores; "
                              "-j 1 is the deterministic serial path)")
-    parser.add_argument("--serial-walk", action="store_true",
-                        help="run the serial reference walk (one compile "
-                             "per routine, no coalescing, no cache) "
-                             "instead of the SCC-wave engine")
-    parser.add_argument("--serial-check", action="store_true",
-                        help="also run the serial reference walk and fail "
-                             "unless its report is bit-identical")
-    parser.add_argument("--no-coalesce", action="store_true",
-                        help="disable in-run content-addressed coalescing")
     parser.add_argument("--stats", metavar="PATH", nargs="?", const="-",
                         default=None,
                         help="write engine statistics JSON to PATH, or "
@@ -618,7 +590,7 @@ def cli_main(argv=None) -> int:
         from dataclasses import replace
         machine = replace(machine, ccm_bytes=args.ccm)
     jobs = args.jobs if args.jobs is not None else default_jobs()
-    artifacts = None if args.serial_walk else cache_from_args(args)
+    artifacts = cache_from_args(args)
 
     profile = AppProfile(n_routines=args.routines, seed=args.seed,
                          levels=args.levels)
@@ -632,32 +604,14 @@ def cli_main(argv=None) -> int:
                                        sort_keys=True) + "\n")
 
     try:
-        if args.serial_walk:
-            report = compile_whole_program(
-                app, machine, jobs=1, artifacts=None, stats=stats,
-                coalesce=False,
-                stream=stream if stream_handle else None)
-        else:
-            report = compile_whole_program(
-                app, machine, jobs=jobs, artifacts=artifacts, stats=stats,
-                coalesce=not args.no_coalesce,
-                stream=stream if stream_handle else None)
+        report = compile_whole_program(
+            app, machine, jobs=jobs, artifacts=artifacts, stats=stats,
+            stream=stream if stream_handle else None)
     finally:
         if stream_handle is not None:
             stream_handle.close()
 
     print(report.format())
-    if args.serial_check and not args.serial_walk:
-        reference = compile_whole_program(app, machine, jobs=1,
-                                          artifacts=None, coalesce=False)
-        if reference.signature != report.signature:
-            print(f"serial check FAILED: engine {report.signature} != "
-                  f"serial walk {reference.signature}", file=sys.stderr)
-            return 1
-        print(f"serial check passed: {report.n_routines} routines "
-              f"bit-identical (engine {report.wall_s:.2f}s vs serial walk "
-              f"{reference.wall_s:.2f}s, "
-              f"{reference.wall_s / max(report.wall_s, 1e-9):.2f}x)")
 
     if args.report:
         with open(args.report, "w") as handle:

@@ -35,10 +35,9 @@ pays them once:
   shared dynamic counts and its own latencies — bit-identical to a
   scalar run of that member.
 * **Batched caches.**  Cache simulation is pure address-stream
-  processing, so :class:`BatchedCaches` advances N set-associative LRU
-  caches in lockstep over the one architectural address stream —
-  struct-of-arrays state: flat tag arrays, per-set occupancy, victim
-  and write-buffer bookkeeping, and per-member latency accumulators.
+  processing, so :class:`BatchedCaches` advances one
+  :class:`~.cache.DataCache` per cached member over the one
+  architectural address stream, with per-member latency accumulators.
 
 Every member rides the shared pass: the simulator has one timing model
 (each instruction charges its latency up front, with no interlocks), so
@@ -63,7 +62,7 @@ from typing import (Dict, Hashable, Iterable, List, Optional, Sequence,
 from ..ir import Opcode, Program
 from ..ir.operands import VirtualReg
 from ..trace import current as _trace_current
-from .cache import CacheConfig, CacheStats
+from .cache import CacheConfig, CacheStats, DataCache
 from .predecode import drive, run_stats
 from .simulator import RunResult, SimulationError, Simulator, count_run
 from .target import MachineConfig
@@ -226,110 +225,36 @@ def group_batches(keys: Iterable[Optional[Hashable]]) -> List[List[int]]:
     return list(groups.values())
 
 
-# -- batched cache state (struct-of-arrays) ------------------------------------
+# -- batched caches ------------------------------------------------------------
 
 
 class BatchedCaches:
-    """N data caches advanced in lockstep over one address stream.
+    """One :class:`~.cache.DataCache` per cached member, advanced together
+    over the batch's one address stream.
 
-    Mirrors :class:`~.cache.DataCache` access-for-access: LRU order
-    within each set (MRU last), victim-cache swap-on-hit, write-buffer
-    store-miss absorption, eviction-to-victim push with capacity cap.
-    State is struct-of-arrays: one flat tag array (``n_sets * assoc``
-    slots, LRU→MRU within each set's slice) plus a per-set occupancy
-    array per member, and flat per-member stat/latency accumulators.
-    ``access`` returns 0 — per-member latencies accumulate in
+    ``access`` returns 0: each member's latency accumulates in
     :attr:`lat` and the caller assembles ``memory_cycles`` afterwards.
-
     ``None`` entries in ``configs`` are cacheless members riding in the
     same batch; they accrue no cache state (their memory cycles come
     from ``machine.memory_latency``).
     """
 
     def __init__(self, configs: Sequence[Optional[CacheConfig]]):
-        self.configs = list(configs)
-        self.lat = [0] * len(self.configs)
-        # one record per cached member:
-        # [index, cfg, line_bytes, n_sets, assoc, tags, used, victim,
-        #  [accesses, hits, misses, evictions, victim_hits, wb_absorbed]]
-        self._members: List[list] = []
-        for i, cfg in enumerate(self.configs):
-            if cfg is None:
-                continue
-            if cfg.n_sets * cfg.line_bytes * cfg.associativity \
-                    != cfg.size_bytes:
-                raise ValueError("cache size must be sets*lines*assoc")
-            self._members.append(
-                [i, cfg, cfg.line_bytes, cfg.n_sets, cfg.associativity,
-                 [-1] * (cfg.n_sets * cfg.associativity),
-                 [0] * cfg.n_sets, [], [0, 0, 0, 0, 0, 0]])
+        self.lat = [0] * len(configs)
+        self._caches = {i: DataCache(cfg) for i, cfg in enumerate(configs)
+                        if cfg is not None}
 
     def access(self, addr: int, is_store: bool) -> int:
         lat = self.lat
-        for m in self._members:
-            i, cfg, line_bytes, n_sets, assoc, tags, used, victim, st = m
-            line = addr // line_bytes
-            set_index = line % n_sets
-            tag = line // n_sets
-            st[0] += 1
-            base = set_index * assoc
-            u = used[set_index]
-            hit = False
-            for j in range(base, base + u):
-                if tags[j] == tag:
-                    # move to MRU: shift the younger ways down one slot
-                    for k in range(j, base + u - 1):
-                        tags[k] = tags[k + 1]
-                    tags[base + u - 1] = tag
-                    st[1] += 1
-                    lat[i] += cfg.hit_latency
-                    hit = True
-                    break
-            if hit:
-                continue
-            if cfg.victim_entries and line in victim:
-                victim.remove(line)
-                st[4] += 1
-                st[1] += 1
-                self._insert(m, set_index, tag)
-                lat[i] += cfg.hit_latency
-                continue
-            st[2] += 1
-            self._insert(m, set_index, tag)
-            if is_store and cfg.write_buffer:
-                st[5] += 1
-                lat[i] += cfg.hit_latency
-            else:
-                lat[i] += cfg.hit_latency + cfg.miss_penalty
+        for i, cache in self._caches.items():
+            lat[i] += cache.access(addr, is_store)
         return 0
 
-    def _insert(self, m: list, set_index: int, tag: int) -> None:
-        i, cfg, line_bytes, n_sets, assoc, tags, used, victim, st = m
-        base = set_index * assoc
-        u = used[set_index]
-        if u >= assoc:
-            evicted_tag = tags[base]
-            for k in range(base, base + u - 1):
-                tags[k] = tags[k + 1]
-            u -= 1
-            st[3] += 1
-            if cfg.victim_entries:
-                victim.append(evicted_tag * n_sets + set_index)
-                if len(victim) > cfg.victim_entries:
-                    victim.pop(0)
-        tags[base + u] = tag
-        used[set_index] = u + 1
-
     def member_stats(self, index: int) -> Optional[CacheStats]:
-        """The :class:`CacheStats` a scalar :class:`DataCache` would
-        hold for member ``index`` (None for cacheless members)."""
-        for m in self._members:
-            if m[0] == index:
-                st = m[8]
-                return CacheStats(accesses=st[0], hits=st[1], misses=st[2],
-                                  evictions=st[3], victim_hits=st[4],
-                                  write_buffer_absorbed=st[5])
-        return None
+        """Member ``index``'s :class:`DataCache` statistics (None for
+        cacheless members)."""
+        cache = self._caches.get(index)
+        return cache.stats if cache is not None else None
 
 
 # -- the public batch API ------------------------------------------------------

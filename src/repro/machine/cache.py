@@ -11,8 +11,8 @@ it entirely.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import List
 
 
 @dataclass
@@ -138,7 +138,3 @@ class DataCache:
                 if len(self._victim) > cfg.victim_entries:
                     self._victim.pop(0)
         ways.append(tag)
-
-    def contains(self, addr: int) -> bool:
-        _, set_index, tag = self._locate(addr)
-        return tag in self._sets[set_index]

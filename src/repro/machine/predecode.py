@@ -744,8 +744,8 @@ def _prepare_engine(sim, cache) -> "_Engine":
     with the simulator's dict-backed physical file materialized as a
     flat list (+ overflow).  ``cache`` is anything with the
     :meth:`DataCache.access <repro.machine.cache.DataCache.access>`
-    signature: the simulator's own cache, or the batch's lockstep
-    caches."""
+    signature: the simulator's own cache, or the batch's
+    :class:`~repro.machine.batch.BatchedCaches`."""
     machine = sim.machine
     eng = _Engine()
     eng.program = sim.program

@@ -8,7 +8,6 @@ spill placement.
 
 from typing import Optional
 
-from ..analysis import AnalysisManager
 from ..ir import Function
 from ..machine import MachineConfig
 from .calls import ConventionError, lower_calling_convention
@@ -26,16 +25,14 @@ from .ssa import SsaAllocationResult, SsaAllocator, allocate_function_ssa
 def allocate_function(fn: Function, machine: MachineConfig,
                       slot_provider=None, graph_hook=None,
                       rematerialize: bool = True,
-                      manager: Optional[AnalysisManager] = None,
                       engine: Optional[str] = None) -> AllocationResult:
     """Allocate registers for ``fn`` in place with the selected backend."""
     engine = engine or regalloc_engine()
     if engine == "chaitin":
         return allocate_function_chaitin(fn, machine, slot_provider,
-                                         graph_hook, rematerialize,
-                                         manager=manager)
+                                         graph_hook, rematerialize)
     return allocate_function_ssa(fn, machine, slot_provider, graph_hook,
-                                 rematerialize, manager=manager,
+                                 rematerialize,
                                  spill_mode=spill_mode_for(engine))
 
 

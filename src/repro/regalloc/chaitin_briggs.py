@@ -578,9 +578,7 @@ def remat_templates(fn: Function) -> Dict[VirtualReg, Instruction]:
 
 def allocate_function(fn: Function, machine: MachineConfig,
                       slot_provider=None, graph_hook=None,
-                      rematerialize: bool = True,
-                      manager: Optional[AnalysisManager] = None
-                      ) -> AllocationResult:
+                      rematerialize: bool = True) -> AllocationResult:
     """Allocate registers for ``fn`` in place; returns the result record."""
     return ChaitinBriggsAllocator(fn, machine, slot_provider, graph_hook,
-                                  rematerialize, manager=manager).run()
+                                  rematerialize).run()

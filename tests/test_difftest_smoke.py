@@ -14,7 +14,8 @@ allocator cross-product).
 
 import pytest
 
-from repro.difftest import check_seed, check_source, config_lattice, iter_corpus
+from repro.difftest import (check_source, config_lattice, generate_source,
+                            iter_corpus)
 
 CONFIGS = config_lattice()
 SMOKE_SEEDS = list(range(25))
@@ -35,6 +36,10 @@ _BATCHES = [SMOKE_SEEDS[i:i + _BATCH]
             for i in range(0, len(SMOKE_SEEDS), _BATCH)]
 
 
+def _check_seed(seed, configs):
+    return check_source(generate_source(seed), configs, seed=seed)
+
+
 def _assert_clean(result, what):
     assert result.skipped is None, f"{what} skipped: {result.skipped}"
     assert not result.divergences, "\n".join(
@@ -46,7 +51,7 @@ def _assert_clean(result, what):
                          ids=[f"seeds{b[0]}-{b[-1]}" for b in _BATCHES])
 def test_smoke_seeds_agree_across_lattice(seeds):
     for seed in seeds:
-        _assert_clean(check_seed(seed, CONFIGS), f"seed {seed}")
+        _assert_clean(_check_seed(seed, CONFIGS), f"seed {seed}")
 
 
 @pytest.mark.parametrize("seeds", _BATCHES,
@@ -55,7 +60,7 @@ def test_smoke_seeds_agree_under_ssa_allocator(seeds):
     """The allocator dimension of the lattice: the SSA backend must
     match the same unallocated reference on every scheme."""
     for seed in seeds:
-        _assert_clean(check_seed(seed, SSA_CONFIGS), f"seed {seed} (ssa)")
+        _assert_clean(_check_seed(seed, SSA_CONFIGS), f"seed {seed} (ssa)")
 
 
 def test_smoke_seeds_agree_under_ssa_everywhere():
@@ -63,7 +68,7 @@ def test_smoke_seeds_agree_under_ssa_everywhere():
     coloring and out-of-SSA stages, so a shorter range suffices here and
     the nightly sweep covers the rest."""
     for seed in SMOKE_SEEDS[:5]:
-        _assert_clean(check_seed(seed, SSA_EVERYWHERE_CONFIGS),
+        _assert_clean(_check_seed(seed, SSA_EVERYWHERE_CONFIGS),
                       f"seed {seed} (ssa-everywhere)")
 
 

@@ -15,7 +15,7 @@ the *structural* contracts directly:
   limits actually diverge;
 * :class:`BatchedCaches` matches N independent :class:`DataCache`
   instances stat-for-stat and latency-for-latency over random address
-  streams — the struct-of-arrays state is pure representation;
+  streams, and cacheless members accrue nothing;
 * grouping (``group_batches`` / ``batch_key``) is insertion-ordered
   and content-based.
 """

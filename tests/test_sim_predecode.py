@@ -22,7 +22,6 @@ from repro.ir import PhysReg, RegClass, parse_program
 from repro.machine import (BatchMember, BatchSimulation, CacheConfig,
                            DataCache, MachineConfig, OutOfFuel,
                            SimulationError, Simulator)
-from repro.machine.predecode import decode_function
 
 from sim_oracle import simulator
 
@@ -426,10 +425,14 @@ entry:
     ret %v1
 .endfunc
 """)
-        fn = prog.functions["main"]
-        plain = decode_function(fn, MachineConfig(), False)
-        cached = decode_function(fn, MachineConfig(), True)
-        assert plain is not cached
+        plain = Simulator(prog, MachineConfig()).run()
+        cache = DataCache(CacheConfig())
+        cached = Simulator(prog, MachineConfig(), cache=cache).run()
+        # the one load goes through the cache only when one is attached
+        assert cache.stats.accesses == 1
+        assert cached.stats.cache is cache.stats
+        assert plain.stats.cache is None
+        assert cached.stats.memory_cycles != plain.stats.memory_cycles
 
     def test_shared_decode_keeps_poison_semantics(self):
         # a call returning into %v0 and one returning into r0 are
